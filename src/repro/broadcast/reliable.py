@@ -21,6 +21,7 @@ RB-Termination-2 for ``t < n/3`` (Bracha 1987).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable
 
 from ..errors import ConfigurationError
@@ -44,23 +45,37 @@ def rb_quorums(n: int, t: int) -> tuple[int, int, int]:
     return ((n + t) // 2 + 1, t + 1, 2 * t + 1)
 
 
-class _InstanceState:
-    """Per-(origin, instance_key) bookkeeping."""
+class _Instance:
+    """One ``(origin, instance_key)`` RB instance at one process."""
 
-    __slots__ = ("echoes", "readies", "echoed", "readied", "delivered")
+    __slots__ = (
+        "echoed", "readied", "echo_counts", "ready_counts",
+        "my_echo", "my_ready", "delivered",
+    )
 
     def __init__(self) -> None:
-        # value -> set of senders whose (first) ECHO/READY carried it.
-        self.echoes: dict[Any, set[int]] = {}
-        self.readies: dict[Any, set[int]] = {}
-        # first ECHO/READY sender set, for per-sender dedup.
-        self.echoed: set[int] = set()
-        self.readied: set[int] = set()
+        # Bitmasks (``1 << sender``) of the processes whose first
+        # ECHO/READY was counted: per-sender dedup.
+        self.echoed = 0
+        self.readied = 0
+        # value -> number of first ECHO/READYs carrying it; dropped
+        # (None) once the instance delivers.
+        self.echo_counts: dict[Any, int] | None = {}
+        self.ready_counts: dict[Any, int] | None = {}
+        # Whether this process sent its one ECHO / its one READY.
+        self.my_echo = False
+        self.my_ready = False
         self.delivered = False
 
 
 class ReliableBroadcast:
-    """A multi-instance Bracha reliable-broadcast engine for one process."""
+    """A multi-instance Bracha reliable-broadcast engine for one process.
+
+    The three message handlers are registered as *non-waking*
+    (:meth:`Process.register_handler`): ECHO/READY tallies are read by
+    no ``wait`` predicate, so only :meth:`_deliver` — the one place RB
+    changes state a predicate can read — rechecks the process's waits.
+    """
 
     INIT = "RB_INIT"
     ECHO = "RB_ECHO"
@@ -75,18 +90,19 @@ class ReliableBroadcast:
         self.n = n
         self.t = t
         self.echo_quorum, self.ready_amplify, self.deliver_quorum = rb_quorums(n, t)
-        self._states: dict[tuple[int, Any], _InstanceState] = {}
-        self._my_echo: dict[tuple[int, Any], Any] = {}
-        self._my_ready: dict[tuple[int, Any], Any] = {}
+        #: (origin, instance_key) -> record, created on first touch.
+        self._instances: defaultdict[tuple[int, Any], _Instance] = defaultdict(
+            _Instance
+        )
         #: (origin, instance_key) -> delivered value.
         self.delivered: dict[tuple[int, Any], Any] = {}
         #: instance_key -> {origin: value} in delivery order.
         self._delivered_by_key: dict[Any, dict[int, Any]] = {}
         self._subscribers: dict[Any, list[DeliverCallback]] = {}
         self._global_subscribers: list[DeliverCallback] = []
-        process.register_handler(self.INIT, self._on_init)
-        process.register_handler(self.ECHO, self._on_echo)
-        process.register_handler(self.READY, self._on_ready)
+        process.register_handler(self.INIT, self._on_init, wakes=False)
+        process.register_handler(self.ECHO, self._on_echo, wakes=False)
+        process.register_handler(self.READY, self._on_ready, wakes=False)
 
     # ------------------------------------------------------------------
     # API
@@ -122,60 +138,67 @@ class ReliableBroadcast:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _state(self, origin: int, instance_key: Any) -> _InstanceState:
-        key = (origin, instance_key)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _InstanceState()
-        return state
-
     def _on_init(self, message: Message) -> None:
         instance_key, value = message.payload
         origin = message.sender
-        key = (origin, instance_key)
+        instance = self._instances[origin, instance_key]
         # Echo only the *first* INIT from this origin for this instance —
         # a Byzantine origin sending several INITs gets exactly one echo.
-        if key in self._my_echo:
+        # ``my_echo`` outlives delivery: an INIT overtaken by 2t+1 READYs
+        # is still echoed once.
+        if instance.my_echo:
             return
-        self._my_echo[key] = value
+        instance.my_echo = True
         self.process.broadcast(self.ECHO, (origin, instance_key, value))
 
     def _on_echo(self, message: Message) -> None:
         origin, instance_key, value = message.payload
-        state = self._state(origin, instance_key)
-        if message.sender in state.echoed:
+        instance = self._instances[origin, instance_key]
+        if instance.delivered:
+            # Dead message: delivery implies ``my_ready``, so no echo
+            # count can cause a send any more.
             return
-        state.echoed.add(message.sender)
-        supporters = state.echoes.setdefault(value, set())
-        supporters.add(message.sender)
-        if len(supporters) >= self.echo_quorum:
-            self._send_ready(origin, instance_key, value)
+        bit = 1 << message.sender
+        if instance.echoed & bit:
+            return
+        instance.echoed |= bit
+        counts = instance.echo_counts
+        count = counts[value] = counts.get(value, 0) + 1
+        if count >= self.echo_quorum and not instance.my_ready:
+            instance.my_ready = True
+            self.process.broadcast(self.READY, (origin, instance_key, value))
 
     def _on_ready(self, message: Message) -> None:
         origin, instance_key, value = message.payload
-        state = self._state(origin, instance_key)
-        if message.sender in state.readied:
+        instance = self._instances[origin, instance_key]
+        if instance.delivered:
+            # Dead message: ``my_ready`` is set (2t+1 >= t+1 readies were
+            # counted) and an instance delivers once.
             return
-        state.readied.add(message.sender)
-        supporters = state.readies.setdefault(value, set())
-        supporters.add(message.sender)
-        if len(supporters) >= self.ready_amplify:
-            self._send_ready(origin, instance_key, value)
-        if len(supporters) >= self.deliver_quorum and not state.delivered:
-            state.delivered = True
-            self._deliver(origin, instance_key, value)
-
-    def _send_ready(self, origin: int, instance_key: Any, value: Any) -> None:
-        key = (origin, instance_key)
-        if key in self._my_ready:
+        bit = 1 << message.sender
+        if instance.readied & bit:
             return
-        self._my_ready[key] = value
-        self.process.broadcast(self.READY, (origin, instance_key, value))
+        instance.readied |= bit
+        counts = instance.ready_counts
+        count = counts[value] = counts.get(value, 0) + 1
+        if count >= self.ready_amplify:
+            if not instance.my_ready:
+                instance.my_ready = True
+                self.process.broadcast(self.READY, (origin, instance_key, value))
+            if count >= self.deliver_quorum:  # 2t+1 >= t+1: nested is exact
+                self._deliver(origin, instance_key, value)
 
     def _deliver(self, origin: int, instance_key: Any, value: Any) -> None:
-        self.delivered[(origin, instance_key)] = value
+        key = (origin, instance_key)
+        instance = self._instances[key]
+        instance.delivered = True
+        instance.echo_counts = instance.ready_counts = None
+        self.delivered[key] = value
         self._delivered_by_key.setdefault(instance_key, {})[origin] = value
         for callback in self._subscribers.get(instance_key, []):
             callback(origin, instance_key, value)
         for callback in self._global_subscribers:
             callback(origin, instance_key, value)
+        # The handlers are non-waking; a delivery is the only RB state
+        # change a ``wait`` predicate can read.
+        self.process.notify()

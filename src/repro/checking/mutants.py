@@ -95,19 +95,14 @@ def _decide_any_scenario() -> RunConfig:
 # ----------------------------------------------------------------------
 # rb-echo-deliver
 # ----------------------------------------------------------------------
+_real_on_echo = ReliableBroadcast._on_echo
+
+
 def _on_echo_deliver(self: ReliableBroadcast, message: Any) -> None:
+    _real_on_echo(self, message)
     origin, instance_key, value = message.payload
-    state = self._state(origin, instance_key)
-    if message.sender in state.echoed:
-        return
-    state.echoed.add(message.sender)
-    supporters = state.echoes.setdefault(value, set())
-    supporters.add(message.sender)
-    if len(supporters) >= self.echo_quorum:
-        self._send_ready(origin, instance_key, value)
     # BUG: deliver on the first echo, skipping the READY phase entirely.
-    if not state.delivered:
-        state.delivered = True
+    if (origin, instance_key) not in self.delivered:
         self._deliver(origin, instance_key, value)
 
 

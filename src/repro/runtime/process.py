@@ -8,10 +8,11 @@ machine with two kinds of activity:
 * blocking operations containing ``wait (<predicate>)`` lines — written as
   ``await self.wait_until(lambda: ...)``.
 
-Predicates are re-evaluated after every handled message and whenever a
-component (e.g. a timer callback) calls :meth:`Process.notify`, which is
-exactly the paper's implicit model: local predicates change only when
-local state changes.
+Predicates are re-evaluated after every message handled by a *waking*
+handler (the default) and whenever a component (a timer callback, a
+non-waking handler that changed readable state) calls
+:meth:`Process.notify`, which is exactly the paper's implicit model:
+local predicates change only when local state changes.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class Process:
 
     Protocol objects (reliable broadcast, adopt-commit, ...) bind to a
     process and register message handlers; the process dispatches each
-    delivered message to the matching handler and then rechecks every
-    pending ``wait_until`` predicate.
+    delivered message to the matching handler, which (unless registered
+    as non-waking) then rechecks every pending ``wait_until`` predicate.
     """
 
     def __init__(self, pid: int, sim: "Simulator", network: "Network") -> None:
@@ -56,21 +57,38 @@ class Process:
     # ------------------------------------------------------------------
     # Handler registration and dispatch
     # ------------------------------------------------------------------
-    def register_handler(self, tag: str, handler: HandlerFn) -> None:
-        """Register the ``when <tag> ... do`` handler for a message tag."""
+    def register_handler(
+        self, tag: str, handler: HandlerFn, wakes: bool = True
+    ) -> None:
+        """Register the ``when <tag> ... do`` handler for a message tag.
+
+        A waking handler (the default) is followed by a recheck of every
+        pending ``wait`` predicate.  ``wakes=False`` takes the recheck
+        off the per-message path; such a handler must call
+        :meth:`notify` itself whenever it changes state a predicate can
+        read (reliable broadcast does: on delivery, and only then).
+        """
         if tag in self._handlers:
             raise ConfigurationError(
                 f"process {self.pid}: handler for tag {tag!r} registered twice"
             )
-        self._handlers[tag] = handler
+        self._handlers[tag] = self._waking(handler) if wakes else handler
+
+    def _waking(self, handler: HandlerFn) -> HandlerFn:
+        recheck = self._cond.recheck
+
+        def handle_then_wake(message: Message) -> None:
+            handler(message)
+            # State may have changed: wake any satisfied ``wait`` lines.
+            recheck()
+
+        return handle_then_wake
 
     def _on_message(self, message: Message) -> None:
         self.delivered_count += 1
         handler = self._handlers.get(message.tag)
         if handler is not None:
             handler(message)
-        # State may have changed: wake any satisfied ``wait`` lines.
-        self._cond.recheck()
 
     # ------------------------------------------------------------------
     # Waiting
@@ -84,10 +102,11 @@ class Process:
         return self._cond.wait_until(predicate)
 
     def notify(self) -> None:
-        """Recheck pending predicates after a non-message state change.
+        """Recheck pending predicates after a state change.
 
-        Must be called by timer callbacks and any other event that mutates
-        protocol state outside a message handler.
+        Must be called by timer callbacks, non-waking handlers and any
+        other event that mutates state a predicate reads outside a
+        waking message handler.
         """
         self._cond.recheck()
 

@@ -4,7 +4,8 @@ The central primitive is :class:`ConditionVar.wait_until`, which implements
 the paper's ``wait (<predicate>)`` statements: the awaiting coroutine is
 resumed as soon as the predicate becomes true, and predicates are
 re-evaluated whenever the owning component calls :meth:`ConditionVar.recheck`
-(for a process: after every handled message or local state change).
+(for a process: after every message handled by a waking handler, and on
+every ``notify()`` of a local state change).
 """
 
 from __future__ import annotations

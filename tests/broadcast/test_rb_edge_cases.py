@@ -35,15 +35,25 @@ class TestQuorumBoundaries:
         assert system.rbs[1].delivered_value(4, "k") is None
 
     def test_delivery_exactly_at_2t_plus_1(self):
-        # Full honest run: verify a process delivers only after 2t+1
-        # readies (indirectly: delivery happens, and no delivery can have
-        # fewer because all counts pass through the same threshold).
+        # Full honest run: every process delivers while handling its
+        # (2t+1)-th distinct READY — not one earlier, not one later.
         system = build_system(4, 1)
+        ready_senders = {pid: set() for pid in system.rbs}
+        at_delivery = {}
+
+        def hook(kind, message, now):
+            if kind == "deliver" and message.tag == "RB_READY":
+                ready_senders[message.dest].add(message.sender)
+
+        system.network.add_hook(hook)
+        for pid, rb in system.rbs.items():
+            rb.subscribe("k", lambda origin, key, value, pid=pid:
+                         at_delivery.setdefault(pid, len(ready_senders[pid])))
         system.rbs[1].broadcast("k", "v")
         system.settle()
-        for rb in system.rbs.values():
-            state = rb._states[(1, "k")]
-            assert len(state.readies["v"]) >= rb.deliver_quorum
+        assert at_delivery == {
+            pid: rb.deliver_quorum for pid, rb in system.rbs.items()
+        }
 
     def test_echo_for_two_instances_not_conflated(self):
         system = build_system(4, 1)

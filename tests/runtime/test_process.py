@@ -70,6 +70,33 @@ class TestWaitUntil:
         assert system.run(task) == "woke"
         assert system.sim.now == 5.0
 
+    def test_non_waking_handler_wakes_only_through_notify(self):
+        system = build_system(3, 0, rb=False)
+        process = system.processes[2]
+        inbox = []
+
+        def quiet(message):
+            inbox.append(message.payload)
+            if message.payload == "wake":
+                process.notify()
+
+        process.register_handler("Q", quiet, wakes=False)
+        evaluations = []
+
+        def predicate():
+            evaluations.append(len(inbox))
+            return "wake" in inbox
+
+        fut = process.wait_until(predicate)
+        system.processes[1].send(2, "Q", "a")
+        system.processes[1].send(2, "UNHANDLED", "b")
+        system.settle()
+        assert inbox == ["a"] and not fut.done()
+        assert evaluations == [0]  # registration only
+        system.processes[3].send(2, "Q", "wake")
+        system.settle()
+        assert fut.done() and evaluations == [0, 2]
+
 
 class TestCommunication:
     def test_send_stamps_own_pid(self):
