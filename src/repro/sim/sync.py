@@ -86,11 +86,17 @@ class ConditionVar:
         Predicates must be side-effect free: they may run any number of
         times.  Waiters whose future was cancelled are dropped.
         """
-        if not self._waiters:
+        pending = self._waiters
+        if not pending:
             return 0
+        # Detach before iterating.  Firing a waiter steps its coroutine
+        # synchronously, and that step may call ``wait_until`` or re-enter
+        # ``recheck`` (a ``notify()``): both must act on the live list —
+        # survivors so far plus new registrations — never on one this
+        # pass is about to overwrite.
+        self._waiters = []
         fired = 0
-        still_waiting: list[tuple[Callable[[], Any], Future]] = []
-        for predicate, fut in self._waiters:
+        for predicate, fut in pending:
             if fut.done():
                 continue
             value = predicate()
@@ -98,8 +104,7 @@ class ConditionVar:
                 fut.set_result(value)
                 fired += 1
             else:
-                still_waiting.append((predicate, fut))
-        self._waiters = still_waiting
+                self._waiters.append((predicate, fut))
         return fired
 
     @property

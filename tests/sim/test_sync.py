@@ -113,3 +113,61 @@ class TestConditionVar:
             sim.call_at(delay, bump)
         assert sim.run_until_complete(task) == 3
         assert sim.now == 3.0
+
+    def test_wait_registered_after_a_nested_recheck_is_kept(self):
+        # Firing a waiter runs its done-callbacks synchronously — for a
+        # task, the coroutine's next step.  That step may re-enter
+        # ``recheck`` (a ``notify()``) and then ``wait_until`` again; the
+        # outer pass used to overwrite the list the new waiter landed on.
+        cond = ConditionVar()
+        state = {"first": False, "second": False}
+        later = []
+
+        def step(_fut):
+            cond.recheck()  # e.g. CB ``_add_valid`` -> ``notify()``
+            later.append(cond.wait_until(lambda: state["second"]))
+
+        cond.wait_until(lambda: state["first"]).add_done_callback(step)
+        state["first"] = True
+        assert cond.recheck() == 1
+        assert cond.waiting == 1
+        state["second"] = True
+        assert cond.recheck() == 1
+        assert later[0].done()
+
+    def test_nested_recheck_sees_survivors_of_the_outer_pass(self):
+        # A waiter the outer pass already found false must be visible to
+        # a recheck nested in a later waiter's wake-up, which may follow
+        # the very state change that makes it true.
+        cond = ConditionVar()
+        state = {"go": False, "late": False}
+        survivor = cond.wait_until(lambda: state["late"])
+
+        def step(_fut):
+            state["late"] = True
+            cond.recheck()
+
+        cond.wait_until(lambda: state["go"]).add_done_callback(step)
+        state["go"] = True
+        assert cond.recheck() == 1  # the nested pass fired the other one
+        assert survivor.done()
+        assert cond.waiting == 0
+
+    def test_coroutine_rewaiting_inside_a_nested_recheck_is_woken(self):
+        sim = Simulator()
+        cond = ConditionVar()
+        state = {"n": 0}
+
+        async def waiter():
+            await cond.wait_until(lambda: state["n"] >= 1)
+            cond.recheck()
+            return await cond.wait_until(lambda: state["n"] >= 2 and "woken")
+
+        def bump():
+            state["n"] += 1
+            cond.recheck()
+
+        task = sim.create_task(waiter())
+        sim.call_at(1.0, bump)
+        sim.call_at(2.0, bump)
+        assert sim.run_until_complete(task) == "woken"
