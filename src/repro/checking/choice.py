@@ -36,7 +36,7 @@ MessageKey = tuple
 
 
 class ScheduleDivergence(SimulationError):
-    """A replayed schedule index fell outside the candidate set.
+    """A replayed schedule index is not an enabled delivery.
 
     Raised when a schedule recorded against one model is replayed
     against a different one (wrong config, mutated protocol, stale
@@ -105,6 +105,24 @@ class BaseChooser:
         message = handle._args[0]
         return message.sender != message.dest
 
+    @staticmethod
+    def replayed(
+        index: int, position: int, heads: list[int], candidates: list[Any]
+    ) -> int:
+        """``index`` as recorded for branching point ``position``, checked
+        against the model being replayed: it must name an *enabled*
+        delivery.  Under FIFO a candidate behind its channel's head is
+        in range but not enabled — delivering it would run an execution
+        the model does not contain."""
+        if index not in heads:
+            raise ScheduleDivergence(
+                f"schedule index {index} is not an enabled delivery at "
+                f"choice point {position} ({len(candidates)} candidates, "
+                f"enabled {heads}) — the schedule was recorded against a "
+                f"different model"
+            )
+        return index
+
 
 class ScheduleChooser(BaseChooser):
     """Replay a recorded schedule, then continue first-candidate.
@@ -131,14 +149,10 @@ class ScheduleChooser(BaseChooser):
             # length of forced corridors between branch points.
             return heads[0]
         if self.position < len(self.schedule):
-            index = self.schedule[self.position]
+            index = self.replayed(
+                self.schedule[self.position], self.position, heads, candidates
+            )
             self.position += 1
-            if not 0 <= index < len(candidates):
-                raise ScheduleDivergence(
-                    f"schedule index {index} out of range at choice point "
-                    f"{self.position - 1} ({len(candidates)} candidates) — "
-                    f"the schedule was recorded against a different model"
-                )
         else:
             index = heads[0]
         self.trail.append(index)

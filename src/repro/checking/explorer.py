@@ -1,11 +1,13 @@
 """Bounded-DFS exhaustive exploration of the small-model schedule space.
 
 The explorer re-executes schedules (stateless model checking): a DFS
-*stack entry* is ``(prefix, sleep)`` — replay the choice prefix, then
-descend first-candidate, pushing one sibling entry per unexplored
-alternative at every choice point passed.  Runs are cheap (a few hundred
-events) and the kernel is deterministic, so re-execution beats
-snapshotting process state.
+*entry* is ``(prefix, sleep)`` — replay the choice prefix, then descend
+first-candidate, pushing one :class:`_Branch` record per branching
+choice point passed.  The record materialises its unexplored siblings'
+entries one at a time, as the DFS pops them, so the stack is as deep as
+the choice tree, not as wide.  The kernel is deterministic, so
+re-execution needs no snapshot of process state (``docs/checking.md``
+has the measured cost of that choice).
 
 Two classic reductions keep the tree tractable:
 
@@ -29,9 +31,9 @@ dedup only aborts when the stored sleep set is a subset of the current
 one (the prior visit explored at least as much); otherwise the state is
 re-explored and the stored set shrinks to the intersection.
 
-On a violation the raw trail is shrunk by greedy single-choice removal
-to a *locally minimal* counterexample: removing any one choice no longer
-reproduces the violation.
+On a violation the raw trail is shrunk — whole windows of choices
+first, single choices last — to a *locally minimal* counterexample:
+removing any one choice no longer reproduces the violation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .choice import BaseChooser, ScheduleChooser, message_key
+from .choice import BaseChooser, ScheduleChooser, ScheduleDivergence, message_key
 from .fingerprint import state_fingerprint
 from .harness import DEFAULT_MAX_STEPS, RunAbort, RunOutcome, execute_run
 
@@ -121,6 +123,10 @@ class CheckResult:
     #: Visited fingerprints (sharding equivalence checks); empty when
     #: ``keep_states`` was off.
     visited: frozenset[str] = frozenset()
+    #: State fingerprints computed (one structural walk + SHA-256 each).
+    fingerprints: int = 0
+    #: Replays the minimizer ran to shrink the counterexample.
+    minimize_replays: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -132,14 +138,62 @@ class CheckResult:
             ),
             "violations": list(self.violations),
             "minimized": self.minimized,
+            "fingerprints": self.fingerprints,
+            "minimize_replays": self.minimize_replays,
         }
+
+
+class _Branch:
+    """One branching choice point's unexplored siblings, built on demand.
+
+    ``explorable[0]`` is the branch the execution that passed the point
+    took; :meth:`pop_sibling` hands out the others in candidate order.
+    Sibling *j* sleeps on ``sleep`` plus every explorable key explored
+    before it (the taken branch and the siblings popped earlier), minus
+    keys dependent on (same destination as) its own first delivery.
+    """
+
+    __slots__ = ("base_trail", "explorable", "keys", "sleep", "cursor")
+
+    def __init__(
+        self,
+        base_trail: tuple[int, ...],
+        explorable: list[int],
+        keys: dict[int, tuple],
+        sleep: frozenset,
+    ) -> None:
+        self.base_trail = base_trail
+        self.explorable = explorable
+        self.keys = keys
+        self.sleep = sleep
+        self.cursor = 1
+
+    @property
+    def exhausted(self) -> bool:
+        return self.cursor >= len(self.explorable)
+
+    def pop_sibling(self, prune: bool) -> tuple[tuple[int, ...], frozenset]:
+        """The next sibling's ``(prefix, sleep)`` entry."""
+        keys = self.keys
+        explorable = self.explorable
+        index = explorable[self.cursor]
+        sleep: frozenset = frozenset()
+        if prune:
+            dest = keys[index][1]
+            earlier = [keys[i] for i in explorable[: self.cursor]]
+            sleep = frozenset(
+                key for key in self.sleep.union(earlier) if key[1] != dest
+            )
+        self.cursor += 1
+        return self.base_trail + (index,), sleep
 
 
 class ExplorationChooser(BaseChooser):
     """The DFS's working chooser: replay a prefix, then descend
-    first-unslept while pushing sibling entries onto the explorer's
-    stack (reverse order, so LIFO pops explore them in candidate
-    order — the sleep-set accumulation below relies on it)."""
+    first-unslept while pushing one :class:`_Branch` per branching
+    choice point onto the explorer's stack (deepest on top, each
+    handing out its siblings in candidate order — the sleep-set
+    accumulation relies on it)."""
 
     def __init__(
         self,
@@ -181,7 +235,7 @@ class ExplorationChooser(BaseChooser):
             stats.max_depth = depth
         if depth < len(self.prefix):
             # Retraced ground: dedup/sleep ran when it was first crossed.
-            index = self.prefix[depth]
+            index = self.replayed(self.prefix[depth], depth, heads, candidates)
             self.trail.append(index)
             return index
         if explorer.max_depth is not None and depth >= explorer.max_depth:
@@ -191,6 +245,7 @@ class ExplorationChooser(BaseChooser):
             for index in heads
         }
         if explorer.dedup:
+            explorer.fingerprints += 1
             fingerprint = state_fingerprint(
                 self.frame,
                 candidates,
@@ -231,28 +286,10 @@ class ExplorationChooser(BaseChooser):
             raise RunAbort("pruned")
         chosen = explorable[0]
         chosen_key = keys[chosen]
-        # Sibling entries: sibling j sleeps on every explorable key that
-        # will have been explored before it (the chosen branch and the
-        # siblings popped earlier), minus keys dependent on (same dest
-        # as) its own first delivery.
-        earlier: list = [chosen_key]
-        siblings: list[tuple[tuple[int, ...], frozenset]] = []
-        base_trail = tuple(self.trail)
-        for index in explorable[1:]:
-            dest = keys[index][1]
-            sibling_sleep = frozenset(
-                key for key in sleep.union(earlier) if key[1] != dest
+        if len(explorable) > 1:
+            explorer.stack.append(
+                _Branch(tuple(self.trail), explorable, keys, sleep)
             )
-            siblings.append((base_trail + (index,), sibling_sleep))
-            earlier.append(keys[index])
-        if explorer.prune:
-            for entry in reversed(siblings):
-                explorer.stack.append(entry)
-        else:
-            # Pruning disabled: siblings still explored, but with empty
-            # sleep sets (plain DFS + dedup).
-            for trail, _ in reversed(siblings):
-                explorer.stack.append((trail, frozenset()))
         self.sleep = frozenset(
             key for key in sleep if key[1] != chosen_key[1]
         )
@@ -317,9 +354,26 @@ class Explorer:
         self.on_execution = on_execution
         self.stats = CheckStats()
         self.visited: dict[str, frozenset] = {}
-        self.stack: list[tuple[tuple[int, ...], frozenset]] = [
-            (tuple(root), frozenset()) for root in reversed(roots)
+        #: Fingerprints computed so far.
+        self.fingerprints = 0
+        #: Root prefixes not started yet, next one last.
+        self.roots: list[tuple[int, ...]] = [
+            tuple(root) for root in reversed(roots)
         ]
+        #: The DFS stack: one record per branching choice point that
+        #: still has unexplored siblings, deepest on top.
+        self.stack: list[_Branch] = []
+
+    def _pop_entry(self) -> tuple[tuple[int, ...], frozenset]:
+        """The next ``(prefix, sleep)`` to execute: the deepest open
+        branch's next sibling, else the next root."""
+        if not self.stack:
+            return self.roots.pop(), frozenset()
+        branch = self.stack[-1]
+        entry = branch.pop_sibling(self.prune)
+        if branch.exhausted:
+            self.stack.pop()
+        return entry
 
     def run(self) -> CheckResult:
         """Explore until the stack drains, a budget trips, or a
@@ -330,14 +384,15 @@ class Explorer:
         raw_counterexample: tuple[int, ...] | None = None
         violations: tuple[str, ...] = ()
         minimized = False
-        while self.stack:
+        minimize_replays = 0
+        while self.stack or self.roots:
             if (
                 self.max_executions is not None
                 and stats.executions >= self.max_executions
             ):
                 exhausted = False
                 break
-            prefix, sleep = self.stack.pop()
+            prefix, sleep = self._pop_entry()
             chooser = ExplorationChooser(self, prefix, sleep)
             outcome = execute_run(
                 self.config, chooser, context=self.context,
@@ -361,18 +416,22 @@ class Explorer:
                 raw_counterexample = outcome.trail
                 violations = tuple(str(v) for v in outcome.violations)
                 if self.minimize:
-                    counterexample = minimize_counterexample(
+                    counterexample, minimize_replays = _minimize(
                         self.config,
                         raw_counterexample,
                         frozenset(v.check for v in outcome.violations),
-                        context=self.context,
-                        max_steps=self.max_steps,
+                        self.context,
+                        self.max_steps,
                     )
                     minimized = True
                 else:
                     counterexample = raw_counterexample
                 exhausted = False
                 break
+            elif status == "divergence":
+                raise ScheduleDivergence(
+                    f"root prefix {prefix} does not fit the model"
+                )
             # "deduped"/"pruned" already counted by the chooser.
             if (
                 self.progress is not None
@@ -392,6 +451,8 @@ class Explorer:
             visited=(
                 frozenset(self.visited) if self.keep_states else frozenset()
             ),
+            fingerprints=self.fingerprints,
+            minimize_replays=minimize_replays,
         )
 
 
@@ -412,6 +473,57 @@ def _reproduces(
     return bool({v.check for v in outcome.violations} & target_checks)
 
 
+def _shrink(
+    schedule: tuple[int, ...],
+    reproduces: Callable[[tuple[int, ...]], bool],
+) -> tuple[int, ...]:
+    """Shrink ``schedule`` to a 1-minimal one that still ``reproduces``.
+
+    ddmin-style: slide a window of ⌈n/2⌉ choices over the schedule,
+    dropping it wherever the remainder still reproduces, then halve the
+    window; at width 1 this is single-choice removal, repeated until a
+    full pass removes nothing — so removing any one choice of the result
+    no longer reproduces, whatever the wide windows did before.  The
+    wide passes are what make long raw trails cheap: a schedule whose
+    every suffix reproduces goes in two tests, not one per choice.
+    """
+    current = list(schedule)
+    width = (len(current) + 1) // 2
+    while current:
+        removed = False
+        index = 0
+        while index < len(current):
+            candidate = current[:index] + current[index + width :]
+            if reproduces(tuple(candidate)):
+                current = candidate
+                removed = True
+            else:
+                index += width
+        if width > 1:
+            width = min(width // 2, (len(current) + 1) // 2)
+        elif not removed:
+            break
+    return tuple(current)
+
+
+def _minimize(
+    config: "RunConfig",
+    schedule: tuple[int, ...],
+    target_checks: frozenset[str],
+    context: "KernelContext | None",
+    max_steps: int,
+) -> tuple[tuple[int, ...], int]:
+    """:func:`minimize_counterexample` plus the number of replays it ran."""
+    replays = 0
+
+    def reproduces(candidate: tuple[int, ...]) -> bool:
+        nonlocal replays
+        replays += 1
+        return _reproduces(config, candidate, target_checks, context, max_steps)
+
+    return _shrink(schedule, reproduces), replays
+
+
 def minimize_counterexample(
     config: "RunConfig",
     schedule: tuple[int, ...],
@@ -419,24 +531,12 @@ def minimize_counterexample(
     context: "KernelContext | None" = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[int, ...]:
-    """Greedy single-choice removal to a locally minimal schedule.
+    """Shrink a violating schedule to a locally minimal one.
 
-    Repeatedly drops any choice whose removal still reproduces one of
-    ``target_checks`` (replay uses first-candidate continuation past the
-    shortened schedule) until no single removal survives — the result is
-    locally minimal by construction: removing any one choice no longer
-    violates.
+    Drops windows of choices, then single choices, whose removal still
+    reproduces one of ``target_checks`` (replay uses first-candidate
+    continuation past the shortened schedule) until no single removal
+    survives — the result is locally minimal by construction: removing
+    any one choice no longer violates.
     """
-    current = list(schedule)
-    changed = True
-    while changed:
-        changed = False
-        index = 0
-        while index < len(current):
-            candidate = tuple(current[:index] + current[index + 1 :])
-            if _reproduces(config, candidate, target_checks, context, max_steps):
-                current = list(candidate)
-                changed = True
-            else:
-                index += 1
-    return tuple(current)
+    return _minimize(config, schedule, target_checks, context, max_steps)[0]

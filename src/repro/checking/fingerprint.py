@@ -34,66 +34,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.handles import EventHandle
     from ..sim.tasks import Task
 
-__all__ = ["canon", "state_fingerprint"]
+__all__ = ["canon", "state_fingerprint", "state_tokens"]
 
-#: Types whose values are hashed verbatim.
+#: Types whose values are hashed verbatim (subclasses included: an
+#: ``IntEnum`` member hashes as its ``repr``).
 _PLAIN = (type(None), bool, int, float, str, bytes)
+#: The same, matched on ``type()`` — nearly every node of real protocol
+#: state, so both walkers test this before anything else.
+_EXACT_PLAIN = frozenset(_PLAIN)
 
 #: Walk depth guard: protocol state is shallow; anything deeper is a
 #: cycle the memo set already breaks, or kernel plumbing we exclude.
 _MAX_CORO_DEPTH = 32
 
+# What either walker does with a value is a function of its type alone,
+# so it is decided once per type (subclass semantics included) and
+# cached.  Codes up to ``_SET`` are the types ``canon`` can render.
+_REPR = 0     # scalar (or scalar subclass): its ``repr``
+_ENUM = 1     # enum member: ``Type.NAME``
+_TUPLE = 2    # plain, else walked item by item
+_LIST = 3
+_MAPPING = 4  # dict: plain, else entry by entry in canonical key order
+_SET = 5      # set / frozenset: plain, else one token of sorted members
+_OBJECT = 6   # a ``repro.*`` instance: its attributes, by name
+_FOREIGN = 7  # anything else: the type name is all that is deterministic
 
-def canon(value: Any, _depth: int = 0) -> str | None:
-    """Canonical string of a *plain* value tree; ``None`` if not plain.
-
-    Plain means: scalars, enums, and tuples/lists/dicts/sets thereof.
-    Deterministic across processes (no ids, no unordered iteration).
-    """
-    if isinstance(value, _PLAIN):
-        return repr(value)
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if _depth >= 8:
-        return None
-    if isinstance(value, (tuple, list)):
-        parts = [canon(item, _depth + 1) for item in value]
-        if any(part is None for part in parts):
-            return None
-        bracket = "()" if isinstance(value, tuple) else "[]"
-        return bracket[0] + ",".join(parts) + bracket[1]
-    if isinstance(value, (set, frozenset)):
-        parts = [canon(item, _depth + 1) for item in value]
-        if any(part is None for part in parts):
-            return None
-        return "{" + ",".join(sorted(parts)) + "}"
-    if isinstance(value, dict):
-        items = []
-        for key, item in value.items():
-            ckey = canon(key, _depth + 1)
-            citem = canon(item, _depth + 1)
-            if ckey is None or citem is None:
-                return None
-            items.append(f"{ckey}:{citem}")
-        return "{" + ",".join(sorted(items)) + "}"
-    return None
-
-
-def _object_attrs(obj: Any) -> dict[str, Any]:
-    """Instance attributes of ``obj``, covering ``__dict__`` and slots."""
-    items: dict[str, Any] = {}
-    d = getattr(obj, "__dict__", None)
-    if d:
-        items.update(d)
-    for cls in type(obj).__mro__:
-        for name in getattr(cls, "__slots__", ()):
-            if name not in items:
-                try:
-                    items[name] = getattr(obj, name)
-                except AttributeError:
-                    pass
-    return items
-
+#: type -> ``(code, excluded, type name, slot names)``.  ``excluded``
+#: marks kernel plumbing and callables the structural walk must not
+#: descend into; ``slot names`` are the ``__slots__`` of the whole MRO,
+#: sorted (``_OBJECT`` only).
+_Plan = tuple[int, bool, str, tuple[str, ...]]
+_PLANS: dict[type, _Plan] = {}
 
 _EXCLUDED_TYPES: tuple[type, ...] = ()
 
@@ -113,52 +84,145 @@ def _excluded_types() -> tuple[type, ...]:
     return _EXCLUDED_TYPES
 
 
-def _is_excluded(value: Any) -> bool:
-    """Kernel plumbing the structural walk must not descend into."""
-    return isinstance(value, _excluded_types()) or callable(value)
+def _plan(value: Any) -> _Plan:
+    """Build (and cache) the plan of ``type(value)``."""
+    kind = type(value)
+    slots: tuple[str, ...] = ()
+    if isinstance(value, _PLAIN):
+        code = _REPR
+    elif isinstance(value, enum.Enum):
+        code = _ENUM
+    elif isinstance(value, tuple):
+        code = _TUPLE
+    elif isinstance(value, list):
+        code = _LIST
+    elif isinstance(value, dict):
+        code = _MAPPING
+    elif isinstance(value, (set, frozenset)):
+        code = _SET
+    elif kind.__module__.startswith("repro."):
+        code = _OBJECT
+        slots = tuple(sorted({
+            name
+            for cls in kind.__mro__
+            for name in getattr(cls, "__slots__", ())
+        }))
+    else:
+        code = _FOREIGN
+    # Bound-method callables etc. carry no state of their own; the
+    # excluded kernel types are fingerprinted through other channels
+    # (pending deliveries, coroutine stacks, decision snapshots).
+    excluded = isinstance(value, _excluded_types()) or callable(value)
+    plan = _PLANS[kind] = (code, excluded, kind.__name__, slots)
+    return plan
+
+
+def canon(value: Any, _depth: int = 0) -> str | None:
+    """Canonical string of a *plain* value tree; ``None`` if not plain.
+
+    Plain means: scalars, enums, and tuples/lists/dicts/sets thereof.
+    Deterministic across processes (no ids, no unordered iteration).
+    A container gives up at its first non-plain item.
+    """
+    kind = type(value)
+    if kind in _EXACT_PLAIN:
+        return repr(value)
+    plan = _PLANS.get(kind)
+    if plan is None:
+        plan = _plan(value)
+    code = plan[0]
+    if code == _REPR:
+        return repr(value)
+    if code == _ENUM:
+        return f"{plan[2]}.{value.name}"
+    if code > _SET or _depth >= 8:
+        return None
+    parts = []
+    if code == _MAPPING:
+        for key, item in value.items():
+            ckey = canon(key, _depth + 1)
+            if ckey is None:
+                return None
+            citem = canon(item, _depth + 1)
+            if citem is None:
+                return None
+            parts.append(f"{ckey}:{citem}")
+        return "{" + ",".join(sorted(parts)) + "}"
+    for item in value:
+        if type(item) in _EXACT_PLAIN:
+            parts.append(repr(item))
+            continue
+        part = canon(item, _depth + 1)
+        if part is None:
+            return None
+        parts.append(part)
+    if code == _TUPLE:
+        return "(" + ",".join(parts) + ")"
+    if code == _LIST:
+        return "[" + ",".join(parts) + "]"
+    return "{" + ",".join(sorted(parts)) + "}"
 
 
 def _walk(value: Any, label: str, out: list[str], seen: set[int]) -> None:
     """Emit deterministic state tokens for one protocol-state value."""
-    plain = canon(value)
-    if plain is not None:
-        out.append(f"{label}={plain}")
+    kind = type(value)
+    if kind in _EXACT_PLAIN:
+        out.append(f"{label}={value!r}")
         return
-    if _is_excluded(value):
-        # Bound-method callables etc. carry no state of their own; the
-        # excluded kernel types are fingerprinted through other channels
-        # (pending deliveries, coroutine stacks, decision snapshots).
+    plan = _PLANS.get(kind)
+    if plan is None:
+        plan = _plan(value)
+    code, excluded, name, slots = plan
+    if code <= _SET:
+        plain = canon(value)
+        if plain is not None:
+            out.append(f"{label}={plain}")
+            return
+    if excluded:
         return
     if id(value) in seen:
         out.append(f"{label}=<cycle>")
         return
     seen.add(id(value))
-    if isinstance(value, (tuple, list)):
+    if code == _OBJECT:
+        out.append(f"{label}:{name}")
+        attrs = getattr(value, "__dict__", None)
+        if not attrs:
+            for attr in slots:
+                try:
+                    item = getattr(value, attr)
+                except AttributeError:
+                    continue
+                _walk(item, f"{label}.{attr}", out, seen)
+            return
+        if slots:
+            # Slots below a ``__dict__``: instance attributes shadow them.
+            attrs = dict(attrs)
+            for attr in slots:
+                if attr not in attrs:
+                    try:
+                        attrs[attr] = getattr(value, attr)
+                    except AttributeError:
+                        pass
+        for attr in sorted(attrs):
+            _walk(attrs[attr], f"{label}.{attr}", out, seen)
+    elif code == _TUPLE or code == _LIST:
         for index, item in enumerate(value):
             _walk(item, f"{label}[{index}]", out, seen)
-        return
-    if isinstance(value, dict):
+    elif code == _MAPPING:
         entries = []
         for key, item in value.items():
             ckey = canon(key)
             entries.append((ckey if ckey is not None else type(key).__name__, item))
         for ckey, item in sorted(entries, key=lambda pair: pair[0]):
             _walk(item, f"{label}{{{ckey}}}", out, seen)
-        return
-    if isinstance(value, (set, frozenset)):
+    elif code == _SET:
         parts = sorted(
             canon(item) or type(item).__name__ for item in value
         )
         out.append(f"{label}={{{','.join(parts)}}}")
-        return
-    module = type(value).__module__
-    if module.startswith("repro."):
-        out.append(f"{label}:{type(value).__name__}")
-        for name, item in sorted(_object_attrs(value).items()):
-            _walk(item, f"{label}.{name}", out, seen)
-        return
-    # Foreign object: its type is all we can say deterministically.
-    out.append(f"{label}=<{type(value).__name__}>")
+    else:
+        out.append(f"{label}=<{name}>")
 
 
 def _coro_tokens(task: "Task") -> list[str]:
@@ -178,8 +242,10 @@ def _coro_tokens(task: "Task") -> list[str]:
             break
         code = frame.f_code
         out.append(f"{code.co_qualname}:{frame.f_lasti}")
-        for name in sorted(frame.f_locals):
-            plain = canon(frame.f_locals[name])
+        # One snapshot: every ``f_locals`` read rebuilds the dict.
+        local_vars = frame.f_locals
+        for name in sorted(local_vars):
+            plain = canon(local_vars[name])
             if plain is not None:
                 out.append(f"{name}={plain}")
         nxt = getattr(obj, "cr_await", None)
@@ -189,14 +255,14 @@ def _coro_tokens(task: "Task") -> list[str]:
     return out
 
 
-def state_fingerprint(
+def state_tokens(
     frame: "RuntimeFrame",
     candidates: Iterable["EventHandle"],
     tasks: Iterable["Task"] = (),
     extra_stacks: Iterable[Any] = (),
     fifo: bool = False,
-) -> str:
-    """SHA-256 fingerprint of the global state at one choice point.
+) -> list[str]:
+    """The token stream :func:`state_fingerprint` hashes.
 
     Called when every live ready handle is a pending cross-process
     delivery (``candidates``), so the ready tier contributes exactly its
@@ -247,5 +313,17 @@ def state_fingerprint(
         out.append(f"decided_at:p{pid}={when!r}")
     for task in tasks:
         out.extend(_coro_tokens(task))
-    digest = hashlib.sha256("\x1f".join(out).encode("utf-8", "replace"))
+    return out
+
+
+def state_fingerprint(
+    frame: "RuntimeFrame",
+    candidates: Iterable["EventHandle"],
+    tasks: Iterable["Task"] = (),
+    extra_stacks: Iterable[Any] = (),
+    fifo: bool = False,
+) -> str:
+    """SHA-256 fingerprint of the global state at one choice point."""
+    tokens = state_tokens(frame, candidates, tasks, extra_stacks, fifo)
+    digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8", "replace"))
     return digest.hexdigest()

@@ -97,7 +97,7 @@ class ProbeChooser(BaseChooser):
                 explorable.append(index)
             self.probed = tuple(explorable)
             raise RunAbort("probe")
-        index = self.prefix[depth]
+        index = self.replayed(self.prefix[depth], depth, heads, candidates)
         self.trail.append(index)
         return index
 

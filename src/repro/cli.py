@@ -790,6 +790,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
           f"(max depth {stats.max_depth})")
     print(f"pruned       : {stats.pruned} slept branch(es)")
     print(f"sim steps    : {stats.steps}")
+    print(f"fingerprints : {result.fingerprints} state walk(s)")
+    if result.minimized:
+        print(f"minimizer    : {result.minimize_replays} replay(s)")
     print(f"elapsed      : {elapsed:.2f}s")
     if result.verdict == "violation":
         assert result.counterexample is not None

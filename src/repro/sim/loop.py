@@ -86,6 +86,10 @@ class Simulator:
         #: becomes an explicit choice instead of FIFO.  ``None`` (the
         #: default) keeps every hot path untouched.
         self._chooser: Any | None = None
+        #: Chooser mode only: ready handles already classified as choice
+        #: events, in ready order, waiting for the chooser's pick.  Every
+        #: entry precedes (lower seq) everything still in ``_ready``.
+        self._choices: list[EventHandle] = []
 
     # ------------------------------------------------------------------
     # Time and scheduling
@@ -305,7 +309,16 @@ class Simulator:
         This is the check-mode fragment: same-instant cascades always
         outrun positive-delay timers, which is exactly how the sampling
         stack behaves for instant deliveries.
+
+        Choice events already set aside for the previous chooser go back
+        to the front of the ready tier (they precede everything in it),
+        so a new chooser reclassifies them and ``None`` resumes plain
+        FIFO order.
         """
+        choices = self._choices
+        if choices:
+            self._ready.extendleft(reversed(choices))
+            choices.clear()
         self._chooser = chooser
 
     def _pop_next_chosen(self) -> EventHandle | None:
@@ -317,25 +330,32 @@ class Simulator:
         at quiescence regardless of their (time, seq) rank against
         same-instant ready entries — part of the check-mode contract
         (exploration and replay agree on it, so runs stay bit-identical).
+
+        ``_ready`` is drained from the left and every live handle is
+        classified exactly once: an internal event is returned at once,
+        a choice event moves to ``_choices``.  Both containers are
+        append-only in scheduling order and a handle only ever moves
+        from the front of the first to the back of the second, so the
+        candidates shown to ``choose()`` are in ready order.  A chooser
+        that raises leaves every event queued.
         """
         ready = self._ready
-        while ready and ready[0]._cancelled:
-            ready.popleft()
-        if not ready:
-            return self._pop_next()
+        choices = self._choices
         chooser = self._chooser
         is_choice = chooser.is_choice
-        candidates: list[EventHandle] = []
-        for handle in ready:
+        while ready:
+            handle = ready.popleft()
             if handle._cancelled:
                 continue
             if not is_choice(handle):
-                ready.remove(handle)  # identity-based: no __eq__ on handles
                 return handle
-            candidates.append(handle)
-        chosen = candidates[chooser.choose(candidates)]
-        ready.remove(chosen)
-        return chosen
+            choices.append(handle)
+        candidates = [handle for handle in choices if not handle._cancelled]
+        if len(candidates) != len(choices):
+            choices[:] = candidates
+        if not candidates:
+            return self._pop_next()
+        return choices.pop(chooser.choose(candidates))
 
     def step(self) -> bool:
         """Run the next scheduled event; return False if none remain."""
@@ -379,6 +399,9 @@ class Simulator:
             # Ready entries are always at the current instant, which no
             # live heap entry can precede.
             return ready[0].time
+        for handle in self._choices:
+            if not handle._cancelled:
+                return handle.time
         heap = self._heap
         while heap and heap[0][2]._cancelled:
             heapq.heappop(heap)
@@ -620,8 +643,10 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events."""
-        return sum(1 for handle in self._ready if not handle._cancelled) + sum(
-            1 for entry in self._heap if not entry[2]._cancelled
+        return (
+            sum(1 for handle in self._ready if not handle._cancelled)
+            + sum(1 for handle in self._choices if not handle._cancelled)
+            + sum(1 for entry in self._heap if not entry[2]._cancelled)
         )
 
     def __repr__(self) -> str:

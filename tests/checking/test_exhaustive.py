@@ -14,8 +14,10 @@ import pytest
 from repro.checking import (
     Explorer,
     ScheduleChooser,
+    ScheduleDivergence,
     execute_run,
 )
+from repro.checking.sharding import ProbeChooser
 from repro.orchestration.config import RunConfig
 
 
@@ -108,8 +110,10 @@ def test_exploration_is_deterministic():
 def test_schedule_replay_is_deterministic(exhaustive):
     # Any branching prefix replays to the same trail, steps and
     # decisions, twice in a row — the bit-identical replay contract the
-    # counterexample workflow stands on.
-    for schedule in [(), (1,), (1, 1)]:
+    # counterexample workflow stands on.  (Indices name *enabled*
+    # deliveries: at the second branching point of this FIFO model the
+    # channel heads are candidates 0 and 2.)
+    for schedule in [(), (1,), (1, 2)]:
         outcomes = [
             execute_run(small_model(), ScheduleChooser(schedule))
             for _ in range(2)
@@ -124,6 +128,33 @@ def test_schedule_replay_is_deterministic(exhaustive):
 def test_out_of_range_schedule_index_diverges():
     outcome = execute_run(small_model(), ScheduleChooser((99,)))
     assert outcome.status == "divergence"
+
+
+def test_fifo_replay_rejects_an_index_behind_its_channel_head():
+    # First branching point of this model: four pending deliveries, two
+    # per channel, so only candidates 0 and 1 are enabled.  Index 2 is in
+    # range but names a message FIFO order does not allow yet — replaying
+    # it used to run an execution the model does not contain and report
+    # it clean.
+    model = small_model(proposals={1: "a", 2: "b"})
+    assert execute_run(model, ScheduleChooser((2,))).status == "divergence"
+    head = execute_run(model, ScheduleChooser((1,)))
+    assert head.status == "complete" and head.trail[0] == 1
+
+
+def test_unordered_replay_accepts_every_candidate():
+    model = small_model(proposals={1: "a", 2: "b"}, fifo=False)
+    outcome = execute_run(model, ScheduleChooser((2,)))
+    assert outcome.status == "complete" and outcome.trail[0] == 2
+
+
+def test_caller_supplied_prefixes_are_held_to_the_same_rule():
+    model = small_model(proposals={1: "a", 2: "b"})
+    with pytest.raises(ScheduleDivergence):
+        Explorer(model, roots=((2,),)).run()
+    probe = execute_run(model, ProbeChooser((2,), set()))
+    assert probe.status == "divergence"
+    assert execute_run(model, ProbeChooser((1,), set())).status == "probe"
 
 
 def test_forced_moves_consume_no_schedule_index():
