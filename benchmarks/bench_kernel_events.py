@@ -40,6 +40,7 @@ from typing import Any, Callable
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.instrumentation import NET_DELIVER, NET_SEND  # noqa: E402
 from repro.net.network import Network  # noqa: E402
 from repro.net.timing import Asynchronous, ConstantDelay  # noqa: E402
 from repro.orchestration.matrix import ScenarioSpec, run_scenario  # noqa: E402
@@ -135,7 +136,11 @@ def _build_flood(n_messages: int, counted: bool):
         )
         if counted:
             seen = [0]
-            network.add_hook(lambda kind, message, now: seen.__setitem__(0, seen[0] + 1))
+            def count(message, now) -> None:
+                seen[0] += 1
+
+            network.bus.attach(NET_SEND, count)
+            network.bus.attach(NET_DELIVER, count)
         budget = [n_messages]
 
         def on_message(message) -> None:

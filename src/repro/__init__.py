@@ -73,121 +73,93 @@ one deduplicated :class:`~repro.analysis.aggregation.MatrixReport`::
     assert again.cache_hits == len(matrix)   # warm: executes nothing
 """
 
-from . import adversary, analysis, baselines, broadcast, core, net, orchestration
-from . import runtime, sim, store
-from .instrumentation import InstrumentationBus, Probe
-from .store import ResultCache
-from .analysis import (
-    MessageCounter,
-    Tracer,
-    first_good_round,
-    is_feasible,
-    max_values,
-    verify_consensus_run,
-    worst_case_round_bound,
-)
-from .core import (
-    BOT,
-    AdoptCommit,
-    BotConsensus,
-    Consensus,
-    EventualAgreement,
-    ParameterizedEventualAgreement,
-    Tag,
-    alpha,
-    beta,
-    coordinator,
-    f_set,
-)
-from .errors import (
-    ConfigurationError,
-    DeadlineExceeded,
-    FeasibilityError,
-    InvariantViolation,
-    ProtocolViolation,
-    ReproError,
-    SimulationError,
-)
-from .net import (
-    Asynchronous,
-    EventuallyTimely,
-    Network,
-    Timely,
-    Topology,
-    fully_asynchronous,
-    fully_timely,
-    is_bisource,
-    single_bisource,
-)
-from .orchestration import (
-    ConsensusRunResult,
-    RunConfig,
-    run_consensus,
-    run_randomized,
-    standard_proposals,
-)
-from .runtime import Process, RoundTimer
-from .sim import Simulator
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # subpackages
-    "adversary",
-    "analysis",
-    "baselines",
-    "broadcast",
-    "core",
-    "net",
-    "orchestration",
-    "runtime",
-    "sim",
-    "store",
-    # frequently used names
-    "InstrumentationBus",
-    "Probe",
-    "ResultCache",
-    "MessageCounter",
-    "Tracer",
-    "first_good_round",
-    "is_feasible",
-    "max_values",
-    "verify_consensus_run",
-    "worst_case_round_bound",
-    "BOT",
-    "AdoptCommit",
-    "BotConsensus",
-    "Consensus",
-    "EventualAgreement",
-    "ParameterizedEventualAgreement",
-    "Tag",
-    "alpha",
-    "beta",
-    "coordinator",
-    "f_set",
-    "ConfigurationError",
-    "DeadlineExceeded",
-    "FeasibilityError",
-    "InvariantViolation",
-    "ProtocolViolation",
-    "ReproError",
-    "SimulationError",
-    "Asynchronous",
-    "EventuallyTimely",
-    "Network",
-    "Timely",
-    "Topology",
-    "fully_asynchronous",
-    "fully_timely",
-    "is_bisource",
-    "single_bisource",
-    "ConsensusRunResult",
-    "RunConfig",
-    "run_consensus",
-    "run_randomized",
-    "standard_proposals",
-    "Process",
-    "RoundTimer",
-    "Simulator",
-    "__version__",
-]
+if TYPE_CHECKING:  # pragma: no cover
+    from . import (
+        adversary, analysis, baselines, broadcast, core, net,
+        orchestration, runtime, sim, store,
+    )
+    from .instrumentation import InstrumentationBus, Probe
+    from .store.cache import ResultCache
+    from .analysis.metrics import MessageCounter
+    from .analysis.traces import Tracer
+    from .analysis.combinatorics import first_good_round
+    from .analysis.feasibility import is_feasible, max_values
+    from .analysis.invariants import verify_consensus_run
+    from .core.coord import (
+        worst_case_round_bound, alpha, beta, coordinator, f_set,
+    )
+    from .core.values import BOT
+    from .core.adopt_commit import AdoptCommit, Tag
+    from .core.consensus_variant import BotConsensus
+    from .core.consensus import Consensus
+    from .core.eventual_agreement import EventualAgreement
+    from .core.ea_parameterized import ParameterizedEventualAgreement
+    from .errors import (
+        ConfigurationError, DeadlineExceeded, FeasibilityError,
+        InvariantViolation, ProtocolViolation, ReproError,
+        SimulationError,
+    )
+    from .net.timing import Asynchronous, EventuallyTimely, Timely
+    from .net.network import Network
+    from .net.topology import (
+        Topology, fully_asynchronous, fully_timely, is_bisource,
+        single_bisource,
+    )
+    from .orchestration.runner import (
+        ConsensusRunResult, run_consensus, run_randomized,
+    )
+    from .orchestration.config import RunConfig
+    from .orchestration.sweeps import standard_proposals
+    from .runtime.process import Process
+    from .runtime.timers import RoundTimer
+    from .sim.loop import Simulator
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".": (
+        "adversary", "analysis", "baselines", "broadcast", "core",
+        "net", "orchestration", "runtime", "sim", "store",
+    ),
+    ".instrumentation": ("InstrumentationBus", "Probe"),
+    ".store.cache": ("ResultCache",),
+    ".analysis.metrics": ("MessageCounter",),
+    ".analysis.traces": ("Tracer",),
+    ".analysis.combinatorics": ("first_good_round",),
+    ".analysis.feasibility": ("is_feasible", "max_values"),
+    ".analysis.invariants": ("verify_consensus_run",),
+    ".core.coord": (
+        "worst_case_round_bound", "alpha", "beta", "coordinator",
+        "f_set",
+    ),
+    ".core.values": ("BOT",),
+    ".core.adopt_commit": ("AdoptCommit", "Tag"),
+    ".core.consensus_variant": ("BotConsensus",),
+    ".core.consensus": ("Consensus",),
+    ".core.eventual_agreement": ("EventualAgreement",),
+    ".core.ea_parameterized": ("ParameterizedEventualAgreement",),
+    ".errors": (
+        "ConfigurationError", "DeadlineExceeded", "FeasibilityError",
+        "InvariantViolation", "ProtocolViolation", "ReproError",
+        "SimulationError",
+    ),
+    ".net.timing": ("Asynchronous", "EventuallyTimely", "Timely"),
+    ".net.network": ("Network",),
+    ".net.topology": (
+        "Topology", "fully_asynchronous", "fully_timely",
+        "is_bisource", "single_bisource",
+    ),
+    ".orchestration.runner": (
+        "ConsensusRunResult", "run_consensus", "run_randomized",
+    ),
+    ".orchestration.config": ("RunConfig",),
+    ".orchestration.sweeps": ("standard_proposals",),
+    ".runtime.process": ("Process",),
+    ".runtime.timers": ("RoundTimer",),
+    ".sim.loop": ("Simulator",),
+})
+__all__.append("__version__")

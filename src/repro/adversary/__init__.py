@@ -1,44 +1,26 @@
 """Byzantine adversary library: actors, outbound filters, named strategies."""
 
-from .behaviors import DROP, MisbehavingProcess, OutboundFilter, RawByzantine
-from .strategies import (
-    AdversarySpec,
-    bot_relays,
-    collude,
-    compose_filters,
-    crash,
-    crash_at,
-    crash_at_filter,
-    flip_flop,
-    flip_flop_filter,
-    honest_filter,
-    mute_coordinator,
-    mute_coordinator_filter,
-    noise,
-    spam_decide,
-    two_faced,
-    two_faced_filter,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DROP",
-    "MisbehavingProcess",
-    "OutboundFilter",
-    "RawByzantine",
-    "AdversarySpec",
-    "bot_relays",
-    "collude",
-    "compose_filters",
-    "crash",
-    "crash_at",
-    "crash_at_filter",
-    "flip_flop",
-    "flip_flop_filter",
-    "honest_filter",
-    "mute_coordinator",
-    "mute_coordinator_filter",
-    "noise",
-    "spam_decide",
-    "two_faced",
-    "two_faced_filter",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .strategies import (
+        DROP, OutboundFilter, AdversarySpec, bot_relays, collude,
+        compose_filters, crash, crash_at, crash_at_filter, flip_flop,
+        flip_flop_filter, honest_filter, mute_coordinator,
+        mute_coordinator_filter, noise, spam_decide, two_faced,
+        two_faced_filter,
+    )
+    from .behaviors import MisbehavingProcess, RawByzantine
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".strategies": (
+        "DROP", "OutboundFilter", "AdversarySpec", "bot_relays",
+        "collude", "compose_filters", "crash", "crash_at",
+        "crash_at_filter", "flip_flop", "flip_flop_filter",
+        "honest_filter", "mute_coordinator", "mute_coordinator_filter",
+        "noise", "spam_decide", "two_faced", "two_faced_filter",
+    ),
+    ".behaviors": ("MisbehavingProcess", "RawByzantine"),
+})

@@ -22,25 +22,13 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..net.messages import Message
 from ..runtime.process import Process
+from .strategies import DROP, OutboundFilter
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.network import Network
     from ..sim.loop import Simulator
 
-__all__ = ["DROP", "OutboundFilter", "MisbehavingProcess", "RawByzantine"]
-
-
-class _Drop:
-    """Sentinel returned by outbound filters to suppress a message."""
-
-    def __repr__(self) -> str:
-        return "<DROP>"
-
-
-DROP = _Drop()
-
-#: ``filter(dst, tag, payload, now) -> payload' | DROP``
-OutboundFilter = Callable[[int, str, Any, float], Any]
+__all__ = ["MisbehavingProcess", "RawByzantine"]
 
 
 class MisbehavingProcess(Process):

@@ -26,12 +26,11 @@ compose them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-from ..core.eventual_agreement import EventualAgreement
-from .behaviors import DROP, OutboundFilter
+from typing import Any, Callable
 
 __all__ = [
+    "DROP",
+    "OutboundFilter",
     "AdversarySpec",
     "PLACEMENTS",
     "normalize_placement",
@@ -52,6 +51,19 @@ __all__ = [
     "compose_filters",
     "honest_filter",
 ]
+
+
+class _Drop:
+    """Sentinel returned by outbound filters to suppress a message."""
+
+    def __repr__(self) -> str:
+        return "<DROP>"
+
+
+DROP = _Drop()
+
+#: ``filter(dst, tag, payload, now) -> payload' | DROP``
+OutboundFilter = Callable[[int, str, Any, float], Any]
 
 
 @dataclass(frozen=True)
@@ -238,10 +250,16 @@ def two_faced_filter(fake_value: Any) -> OutboundFilter:
 
 def mute_coordinator_filter() -> OutboundFilter:
     """Drop every EA_COORD message this process would send."""
+    # Imported when a filter is built (a runtime is being assembled, so
+    # the protocol stack is loaded anyway): naming an adversary in a
+    # spec, a matrix or a cache key must not load it.
+    from ..core.eventual_agreement import EventualAgreement
+
+    coord = EventualAgreement.COORD
 
     def filt(dst: int, tag: str, payload: Any, now: float) -> Any:
         # startswith: namespaced EA objects use "EA_COORD:<namespace>".
-        if tag.startswith(EventualAgreement.COORD):
+        if tag.startswith(coord):
             return DROP
         return payload
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .metrics import LatencySummary, summarize
+from .tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..orchestration.matrix import ScenarioOutcome
@@ -172,8 +173,6 @@ def render_group_table(grouped: dict[str, MatrixReport]) -> str:
     """Render a :func:`group_outcomes` result as an aligned text table
     (one row per group, same placeholder conventions as
     :func:`render_matrix_table`)."""
-    from ..orchestration.sweeps import format_table
-
     if not grouped:
         return "(no scenarios)"
     rows: list[Sequence[object]] = []
@@ -200,8 +199,6 @@ def render_matrix_table(report: MatrixReport) -> str:
     report is empty) render ``-`` placeholders rather than fake zeros;
     an empty report yields just the header with a note.
     """
-    from ..orchestration.sweeps import format_table
-
     if not report.cells:
         return "(no scenarios)"
     rows: list[Sequence[object]] = []

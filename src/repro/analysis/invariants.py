@@ -21,11 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..core.values import BOT
 from ..errors import InvariantViolation
-
-# NOTE: ``repro.core`` imports the feasibility module from this package, so
-# anything from ``repro.core`` (Tag, BOT) is imported lazily inside the
-# checkers to keep the import graph acyclic.
 
 __all__ = [
     "Violation",
@@ -95,8 +92,6 @@ def check_validity(
 ) -> list[Violation]:
     """CONS-Validity: each decided value was proposed by a correct process
     (⊥ additionally allowed for the Section 7 variant)."""
-    from ..core.values import BOT
-
     admissible = set(correct_proposals.values())
     violations = []
     for pid, value in decisions.items():
@@ -143,8 +138,6 @@ def check_cb_validity(
 ) -> list[Violation]:
     """CB-Set Validity on the initial CB[0]: every value in a correct
     process's ``cb_valid`` was proposed by a correct process."""
-    from ..core.values import BOT
-
     admissible = set(correct_proposals.values())
     violations = []
     for pid, cb in cb_instances.items():

@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..net.messages import Message
+from ..instrumentation import NET_DELIVER, NET_SEND
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..net.messages import Message
     from ..net.network import Network
 
 __all__ = ["MessageCounter", "summarize", "LatencySummary"]
@@ -32,16 +33,12 @@ class MessageCounter:
 
     def attach(self, network: "Network") -> "MessageCounter":
         """Register this counter on a network; returns self for chaining."""
-        from ..instrumentation import NET_DELIVER, NET_SEND
-
         network.bus.attach(NET_SEND, self.on_send)
         network.bus.attach(NET_DELIVER, self.on_deliver)
         return self
 
     def detach(self, network: "Network") -> None:
         """Remove this counter's sinks from a network's probes."""
-        from ..instrumentation import NET_DELIVER, NET_SEND
-
         network.bus.detach(NET_SEND, self.on_send)
         network.bus.detach(NET_DELIVER, self.on_deliver)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .metrics import LatencySummary, summarize
+from .tables import format_table
 
 __all__ = ["EnsembleReport", "aggregate", "render_ensemble_table"]
 
@@ -75,8 +76,6 @@ def render_ensemble_table(
     labelled_reports: Sequence[tuple[str, EnsembleReport]],
 ) -> str:
     """Render labelled ensemble reports as an aligned text table."""
-    from ..orchestration.sweeps import format_table
-
     rows = []
     for label, report in labelled_reports:
         rows.append([

@@ -9,14 +9,10 @@ useful for regression-hunting and for calibrating the benchmark budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover
-    # Imported lazily at call time: repro.core depends on this package's
-    # feasibility module, so a module-level orchestration import would
-    # close an import cycle.
-    from ..orchestration.config import RunConfig
-    from ..orchestration.runner import ConsensusRunResult
+from ..orchestration.config import RunConfig
+from ..orchestration.runner import ConsensusRunResult, run_consensus
 
 __all__ = ["SearchOutcome", "find_worst_seed", "find_non_converging_seed"]
 
@@ -42,8 +38,6 @@ def find_worst_seed(
     definition).  Invariant checks stay on: a safety violation raises
     immediately whatever the search is optimising.
     """
-    from ..orchestration.runner import run_consensus
-
     def default_cost(result) -> float:
         if not result.all_decided:
             return float("inf")
@@ -71,8 +65,6 @@ def find_non_converging_seed(
     synchrony) and to validate that the paper's algorithm has none
     within a seed ensemble.
     """
-    from ..orchestration.runner import run_consensus
-
     for seed in seeds:
         result = run_consensus(replace(config, seed=seed))
         if not result.all_decided:

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
+from ..instrumentation import NET_DELIVER, NET_SEND
 from ..net.messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,8 +71,6 @@ class Tracer:
         ``net.deliver``), so an unattached tracer costs the network
         nothing at all.
         """
-        from ..instrumentation import NET_DELIVER, NET_SEND
-
         network.bus.attach(NET_SEND, self._on_send)
         network.bus.attach(NET_DELIVER, self._on_deliver)
         return self

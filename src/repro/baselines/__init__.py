@@ -1,11 +1,19 @@
 """Comparator algorithms for the separation experiments (DESIGN.md E8)."""
 
-from .randomized import BinaryValueBroadcast, CommonCoin, RandomizedBinaryConsensus
-from .strong_bisource import StrongBisourceEA
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BinaryValueBroadcast",
-    "CommonCoin",
-    "RandomizedBinaryConsensus",
-    "StrongBisourceEA",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .randomized import (
+        BinaryValueBroadcast, CommonCoin, RandomizedBinaryConsensus,
+    )
+    from .strong_bisource import StrongBisourceEA
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".randomized": (
+        "BinaryValueBroadcast", "CommonCoin",
+        "RandomizedBinaryConsensus",
+    ),
+    ".strong_bisource": ("StrongBisourceEA",),
+})

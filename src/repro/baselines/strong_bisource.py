@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..core.eventual_agreement import EventualAgreement, _RoundState
+from ..core.values import BOT
 
 __all__ = ["StrongBisourceEA"]
 
@@ -53,8 +54,6 @@ class StrongBisourceEA(EventualAgreement):
     def _relay_witness_value(self, state: _RoundState) -> Any | None:
         """Accept a value only with ``t + 1`` matching non-⊥ relays."""
         counts: dict[Any, int] = {}
-        from ..core.values import BOT
-
         for sender, value in state.relays.items():
             if value is not BOT:
                 counts[value] = counts.get(value, 0) + 1

@@ -22,29 +22,28 @@ See ``docs/checking.md`` for the state-fingerprint model and the
 pruning-soundness argument.
 """
 
-from .choice import ScheduleChooser, ScheduleDivergence, message_key
-from .explorer import CheckResult, CheckStats, Explorer, minimize_counterexample
-from .fingerprint import canon, state_fingerprint
-from .harness import RunOutcome, execute_run
-from .mutants import MUTANTS, Mutant, apply_mutant
-from .sharding import ShardRoots, schedule_prefix_roots, shard_roots_slice
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CheckResult",
-    "CheckStats",
-    "Explorer",
-    "MUTANTS",
-    "Mutant",
-    "RunOutcome",
-    "apply_mutant",
-    "ScheduleChooser",
-    "ScheduleDivergence",
-    "ShardRoots",
-    "canon",
-    "execute_run",
-    "message_key",
-    "minimize_counterexample",
-    "schedule_prefix_roots",
-    "shard_roots_slice",
-    "state_fingerprint",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .explorer import (
+        CheckResult, CheckStats, Explorer, minimize_counterexample,
+    )
+    from .mutants import MUTANTS, Mutant, apply_mutant
+    from .harness import RunOutcome, execute_run
+    from .choice import ScheduleChooser, ScheduleDivergence, message_key
+    from .sharding import ShardRoots, schedule_prefix_roots, shard_roots_slice
+    from .fingerprint import canon, state_fingerprint
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".explorer": (
+        "CheckResult", "CheckStats", "Explorer",
+        "minimize_counterexample",
+    ),
+    ".mutants": ("MUTANTS", "Mutant", "apply_mutant"),
+    ".harness": ("RunOutcome", "execute_run"),
+    ".choice": ("ScheduleChooser", "ScheduleDivergence", "message_key"),
+    ".sharding": ("ShardRoots", "schedule_prefix_roots", "shard_roots_slice"),
+    ".fingerprint": ("canon", "state_fingerprint"),
+})

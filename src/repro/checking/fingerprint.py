@@ -29,6 +29,12 @@ import hashlib
 import random
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..net.channel import Channel
+from ..net.network import Network
+from ..runtime.process import Process
+from ..sim.futures import Future
+from ..sim.loop import Simulator
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..orchestration.runner import RuntimeFrame
     from ..sim.handles import EventHandle
@@ -66,22 +72,7 @@ _FOREIGN = 7  # anything else: the type name is all that is deterministic
 _Plan = tuple[int, bool, str, tuple[str, ...]]
 _PLANS: dict[type, _Plan] = {}
 
-_EXCLUDED_TYPES: tuple[type, ...] = ()
-
-
-def _excluded_types() -> tuple[type, ...]:
-    global _EXCLUDED_TYPES
-    if not _EXCLUDED_TYPES:
-        from ..net.channel import Channel
-        from ..net.network import Network
-        from ..runtime.process import Process
-        from ..sim.futures import Future
-        from ..sim.loop import Simulator
-
-        _EXCLUDED_TYPES = (
-            Simulator, Network, Channel, Process, Future, random.Random
-        )
-    return _EXCLUDED_TYPES
+_EXCLUDED_TYPES = (Simulator, Network, Channel, Process, Future, random.Random)
 
 
 def _plan(value: Any) -> _Plan:
@@ -112,7 +103,7 @@ def _plan(value: Any) -> _Plan:
     # Bound-method callables etc. carry no state of their own; the
     # excluded kernel types are fingerprinted through other channels
     # (pending deliveries, coroutine stacks, decision snapshots).
-    excluded = isinstance(value, _excluded_types()) or callable(value)
+    excluded = isinstance(value, _EXCLUDED_TYPES) or callable(value)
     plan = _PLANS[kind] = (code, excluded, kind.__name__, slots)
     return plan
 

@@ -37,8 +37,17 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 __all__ = [
+    "HARNESS_PHASES",
     "NET_DELIVER",
     "NET_SEND",
+    "PHASE_BUILD_CONFIG",
+    "PHASE_CACHE_KEY",
+    "PHASE_CACHE_PUT",
+    "PHASE_EXPAND",
+    "PHASE_JSONL",
+    "PHASE_POOL",
+    "PHASE_REPORT",
+    "PHASE_SIMULATE",
     "SIM_STEP",
     "InstrumentationBus",
     "Probe",
@@ -48,6 +57,32 @@ __all__ = [
 NET_SEND = "net.send"
 NET_DELIVER = "net.deliver"
 SIM_STEP = "sim.step"
+
+#: The per-scenario harness stages a profiler times, in sweep order.
+#: They live here, with the probe names, so the sweep backends can name
+#: a phase without importing :mod:`repro.profiling`.
+PHASE_EXPAND = "expand"
+PHASE_CACHE_KEY = "cache_key"
+PHASE_BUILD_CONFIG = "build_config"
+PHASE_SIMULATE = "simulate"
+PHASE_REPORT = "report_construct"
+PHASE_CACHE_PUT = "cache_put"
+PHASE_JSONL = "jsonl_encode"
+#: Parent-side pool overhead: shipping chunks, waiting on replies,
+#: decoding result batches.  Only populates on the pooled backend.
+PHASE_POOL = "pool_dispatch"
+
+#: Canonical display order for the phase table.
+HARNESS_PHASES = (
+    PHASE_EXPAND,
+    PHASE_CACHE_KEY,
+    PHASE_BUILD_CONFIG,
+    PHASE_SIMULATE,
+    PHASE_POOL,
+    PHASE_REPORT,
+    PHASE_CACHE_PUT,
+    PHASE_JSONL,
+)
 
 Sink = Callable[..., None]
 

@@ -43,7 +43,6 @@ __all__ = ["Network"]
 _SELF_CHANNEL_DELTA = 1e-9
 
 DeliverFn = Callable[[Message], None]
-HookFn = Callable[[str, Message, float], None]
 
 
 class Network:
@@ -139,19 +138,6 @@ class Network:
         if pid in self._processes:
             raise ConfigurationError(f"process {pid} registered twice")
         self._processes[pid] = deliver
-
-    def add_hook(self, hook: HookFn) -> None:
-        """Register a tracing hook ``hook(kind, message, time)``.
-
-        ``kind`` is ``"send"`` or ``"deliver"``.  Compatibility shim over
-        the instrumentation bus: the hook is attached as one sink on each
-        of the ``net.send`` / ``net.deliver`` probes.  New code should
-        attach probe sinks directly (they skip the ``kind`` dispatch).
-        """
-        self._send_probe.attach(lambda message, now: hook("send", message, now))
-        self._deliver_probe.attach(
-            lambda message, now: hook("deliver", message, now)
-        )
 
     def channel(self, src: int, dst: int) -> Channel:
         """The channel object for the ordered pair (built on first use)."""

@@ -22,55 +22,34 @@ never ambient.
 The walkthrough lives in ``docs/observability.md``.
 """
 
-from .events import (
-    EVENT_CACHE_HIT,
-    EVENT_CACHE_MISS,
-    EVENT_CHECK_FINISHED,
-    EVENT_CHECK_PROGRESS,
-    EVENT_CHECK_STARTED,
-    EVENT_SHARD_FOLDED,
-    EVENT_SWEEP_FINISHED,
-    EVENT_SWEEP_STARTED,
-    EVENT_UNIT_CLAIMED,
-    EVENT_UNIT_COMPLETED,
-    EVENT_UNIT_RECLAIMED,
-    EVENT_UNIT_RELEASED,
-    EVENT_UNIT_RENEWED,
-    EventLedger,
-    LEDGER_NAME,
-    format_event,
-    read_events,
-    tail_events,
-)
-from .fleet import FleetRow, fleet_rows, render_top
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .telemetry import SweepTelemetry
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "EVENT_CACHE_HIT",
-    "EVENT_CACHE_MISS",
-    "EVENT_CHECK_FINISHED",
-    "EVENT_CHECK_PROGRESS",
-    "EVENT_CHECK_STARTED",
-    "EVENT_SHARD_FOLDED",
-    "EVENT_SWEEP_FINISHED",
-    "EVENT_SWEEP_STARTED",
-    "EVENT_UNIT_CLAIMED",
-    "EVENT_UNIT_COMPLETED",
-    "EVENT_UNIT_RECLAIMED",
-    "EVENT_UNIT_RELEASED",
-    "EVENT_UNIT_RENEWED",
-    "Counter",
-    "EventLedger",
-    "FleetRow",
-    "Gauge",
-    "Histogram",
-    "LEDGER_NAME",
-    "MetricsRegistry",
-    "SweepTelemetry",
-    "fleet_rows",
-    "format_event",
-    "read_events",
-    "render_top",
-    "tail_events",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .events import (
+        EVENT_CACHE_HIT, EVENT_CACHE_MISS, EVENT_CHECK_FINISHED,
+        EVENT_CHECK_PROGRESS, EVENT_CHECK_STARTED, EVENT_SHARD_FOLDED,
+        EVENT_SWEEP_FINISHED, EVENT_SWEEP_STARTED, EVENT_UNIT_CLAIMED,
+        EVENT_UNIT_COMPLETED, EVENT_UNIT_RECLAIMED,
+        EVENT_UNIT_RELEASED, EVENT_UNIT_RENEWED, EventLedger,
+        LEDGER_NAME, format_event, read_events, tail_events,
+    )
+    from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+    from .fleet import FleetRow, fleet_rows, render_top
+    from .telemetry import SweepTelemetry
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".events": (
+        "EVENT_CACHE_HIT", "EVENT_CACHE_MISS", "EVENT_CHECK_FINISHED",
+        "EVENT_CHECK_PROGRESS", "EVENT_CHECK_STARTED",
+        "EVENT_SHARD_FOLDED", "EVENT_SWEEP_FINISHED",
+        "EVENT_SWEEP_STARTED", "EVENT_UNIT_CLAIMED",
+        "EVENT_UNIT_COMPLETED", "EVENT_UNIT_RECLAIMED",
+        "EVENT_UNIT_RELEASED", "EVENT_UNIT_RENEWED", "EventLedger",
+        "LEDGER_NAME", "format_event", "read_events", "tail_events",
+    ),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".fleet": ("FleetRow", "fleet_rows", "render_top"),
+    ".telemetry": ("SweepTelemetry",),
+})

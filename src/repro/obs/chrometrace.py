@@ -32,6 +32,8 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from ..store.atomic import atomic_write_text
+
 __all__ = [
     "trace_from_ledger",
     "trace_from_profile",
@@ -216,8 +218,6 @@ def write_trace(
     path: str | os.PathLike[str], trace: Mapping[str, Any]
 ) -> Path:
     """Validate and atomically persist one trace object."""
-    from ..store.atomic import atomic_write_text
-
     validate_trace(trace)
     return atomic_write_text(
         path, json.dumps(trace, sort_keys=True, indent=1) + "\n"

@@ -31,10 +31,9 @@ that produced them.  See ``docs/observability.md``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..instrumentation import InstrumentationBus
+from ..instrumentation import NET_DELIVER, NET_SEND, SIM_STEP, InstrumentationBus
 
 __all__ = [
     "Counter",
@@ -314,8 +313,6 @@ class MetricsRegistry:
 
         def on_step(handle: Any) -> None:
             steps[()] = steps.get((), 0.0) + 1.0
-
-        from ..instrumentation import NET_DELIVER, NET_SEND, SIM_STEP
 
         return {NET_SEND: on_send, NET_DELIVER: on_deliver, SIM_STEP: on_step}
 

@@ -12,86 +12,66 @@ incremental collector in :mod:`repro.store.collector` folds the
 resulting shards as they land (``docs/sweeps.md`` walks it through).
 """
 
-from .axes import AXES, SCHEMA_VERSION, Axis, AxisRegistry
-from .config import RunConfig
-from .dispatch import (
-    DispatchError,
-    DispatchPlan,
-    ShardUnit,
-    plan_dispatch,
-    run_claims,
-)
-from .kernel import KernelContext, default_context
-from .matrix import (
-    ScenarioMatrix,
-    ScenarioOutcome,
-    ScenarioSpec,
-    adversary_from_name,
-    build_config,
-    normalize_topology,
-    outcome_from_record,
-    run_scenario,
-    topology_from_name,
-)
-from .parallel import (
-    SweepResult,
-    default_workers,
-    shard_slice,
-    sweep_async,
-    sweep_parallel,
-    sweep_serial,
-)
-from .runner import (
-    ConsensusRunResult,
-    RandomizedRunResult,
-    default_topology,
-    run_consensus,
-    run_randomized,
-)
-from .sweeps import (
-    PROPOSAL_PROFILES,
-    format_table,
-    proposal_profile,
-    standard_proposals,
-    sweep_seeds,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AXES",
-    "SCHEMA_VERSION",
-    "Axis",
-    "AxisRegistry",
-    "KernelContext",
-    "default_context",
-    "RunConfig",
-    "DispatchError",
-    "DispatchPlan",
-    "ShardUnit",
-    "plan_dispatch",
-    "run_claims",
-    "ScenarioMatrix",
-    "ScenarioOutcome",
-    "ScenarioSpec",
-    "adversary_from_name",
-    "build_config",
-    "normalize_topology",
-    "outcome_from_record",
-    "run_scenario",
-    "topology_from_name",
-    "SweepResult",
-    "default_workers",
-    "shard_slice",
-    "sweep_async",
-    "sweep_parallel",
-    "sweep_serial",
-    "ConsensusRunResult",
-    "RandomizedRunResult",
-    "default_topology",
-    "run_consensus",
-    "run_randomized",
-    "PROPOSAL_PROFILES",
-    "format_table",
-    "proposal_profile",
-    "standard_proposals",
-    "sweep_seeds",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .axes import (
+        AXES, SCHEMA_VERSION, Axis, AxisRegistry, adversary_from_name,
+        normalize_topology, topology_from_name,
+    )
+    from .kernel import KernelContext, default_context
+    from .config import RunConfig
+    from .dispatch import (
+        DispatchError, DispatchPlan, ShardUnit, plan_dispatch,
+        run_claims,
+    )
+    from .matrix import (
+        ScenarioMatrix, ScenarioOutcome, ScenarioSpec, build_config,
+        outcome_from_record, run_scenario,
+    )
+    from .parallel import (
+        SweepResult, default_workers, shard_slice, sweep_async,
+        sweep_parallel, sweep_serial,
+    )
+    from .runner import (
+        ConsensusRunResult, RandomizedRunResult, default_topology,
+        run_consensus, run_randomized,
+    )
+    from .sweeps import (
+        PROPOSAL_PROFILES, proposal_profile, standard_proposals,
+        sweep_seeds,
+    )
+    from ..analysis.tables import format_table
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".axes": (
+        "AXES", "SCHEMA_VERSION", "Axis", "AxisRegistry",
+        "adversary_from_name", "normalize_topology",
+        "topology_from_name",
+    ),
+    ".kernel": ("KernelContext", "default_context"),
+    ".config": ("RunConfig",),
+    ".dispatch": (
+        "DispatchError", "DispatchPlan", "ShardUnit", "plan_dispatch",
+        "run_claims",
+    ),
+    ".matrix": (
+        "ScenarioMatrix", "ScenarioOutcome", "ScenarioSpec",
+        "build_config", "outcome_from_record", "run_scenario",
+    ),
+    ".parallel": (
+        "SweepResult", "default_workers", "shard_slice", "sweep_async",
+        "sweep_parallel", "sweep_serial",
+    ),
+    ".runner": (
+        "ConsensusRunResult", "RandomizedRunResult",
+        "default_topology", "run_consensus", "run_randomized",
+    ),
+    ".sweeps": (
+        "PROPOSAL_PROFILES", "proposal_profile", "standard_proposals",
+        "sweep_seeds",
+    ),
+    "..analysis.tables": ("format_table",),
+})

@@ -52,7 +52,10 @@ from typing import Any, Callable, Iterator, Mapping, MutableMapping
 from ..adversary import strategies
 from ..adversary.strategies import AdversarySpec, normalize_placement
 from ..analysis.feasibility import clamp_values, feasible_cell
+from ..errors import ConfigurationError
+from ..net.timing import normalize_timeout_schedule, timeout_schedule
 from ..net.topology import Topology, fully_asynchronous, fully_timely
+from .sweeps import normalize_profile
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -371,8 +374,6 @@ def _canonical_k(value: Any) -> int:
 
 
 def _canonical_profile(value: Any) -> str:
-    from .sweeps import normalize_profile
-
     return normalize_profile(str(value))
 
 
@@ -458,9 +459,6 @@ AXES.register(Axis(
 
 
 def _canonical_timeouts(value: Any) -> str:
-    from ..errors import ConfigurationError
-    from ..net.timing import normalize_timeout_schedule
-
     try:
         return normalize_timeout_schedule(str(value))
     except ConfigurationError as exc:
@@ -470,8 +468,6 @@ def _canonical_timeouts(value: Any) -> str:
 
 def _apply_timeouts(kwargs: MutableMapping[str, Any], value: str) -> None:
     if value != "linear":
-        from ..net.timing import timeout_schedule
-
         kwargs["timeout_fn"] = timeout_schedule(value)
 
 

@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..store.atomic import atomic_write_text
 from .matrix import ScenarioMatrix, ScenarioSpec
-from .parallel import shard_slice
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..store.cache import ResultCache
@@ -361,6 +360,8 @@ class DispatchPlan:
         through the same :func:`~repro.orchestration.parallel.shard_slice`
         that backs ``repro sweep --shard`` (matrix indices are preserved,
         so the shard merges bit-identically into the unsharded sweep)."""
+        from .parallel import shard_slice
+
         if self._specs is None:
             self._specs = self.matrix.expand()
         return shard_slice(self._specs, unit.index, unit.count)
@@ -673,7 +674,7 @@ def run_claims(
 
     Returns the units this worker completed, in execution order.
     """
-    from ..orchestration import parallel
+    from . import parallel
 
     if not isinstance(plan, DispatchPlan):
         plan = DispatchPlan.load(plan)

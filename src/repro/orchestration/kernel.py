@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..instrumentation import InstrumentationBus
 from ..sim.pool import ObjectPools
+from .axes import adversary_from_name, topology_from_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..adversary.strategies import AdversarySpec
@@ -92,8 +93,6 @@ class KernelContext:
         try:
             cached = self._topologies[key]
         except KeyError:
-            from .axes import topology_from_name
-
             cached = self._topologies[key] = topology_from_name(kind, n)
             self.topology_misses += 1
         else:
@@ -105,8 +104,6 @@ class KernelContext:
         try:
             cached = self._adversaries[name]
         except KeyError:
-            from .axes import adversary_from_name
-
             cached = self._adversaries[name] = adversary_from_name(name)
             self.adversary_misses += 1
         else:

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from ..adversary import strategies
 from ..adversary.strategies import AdversarySpec
-from ..profiling import PHASE_BUILD_CONFIG, PHASE_REPORT, PHASE_SIMULATE
+from ..instrumentation import PHASE_BUILD_CONFIG, PHASE_REPORT, PHASE_SIMULATE
 from ..sim.random import derive_seed
 from . import axes as axes_mod
 from .axes import (
@@ -57,10 +57,11 @@ from .axes import (
     topology_from_name,
 )
 from .config import RunConfig
-from .runner import ConsensusRunResult, run_consensus
+from .kernel import KernelContext, default_context
+from .sweeps import proposal_profile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .kernel import KernelContext
+    from .runner import ConsensusRunResult
 
 __all__ = [
     "TOPOLOGY_KINDS",
@@ -519,9 +520,6 @@ def build_config(
     cached topology and adversary objects so grid-shaped sweeps stop
     rebuilding identical immutable structures for every cell.
     """
-    from .kernel import default_context
-    from .sweeps import proposal_profile
-
     if context is None:
         context = default_context()
 
@@ -609,7 +607,9 @@ def run_scenario(
     adversary specs and the instrumentation bus across the scenarios of
     a sweep.
     """
-    from .kernel import default_context
+    # Imported where a scenario is executed: expanding, keying, caching
+    # and merging specs never load the simulator stack.
+    from .runner import run_consensus
 
     if context is None:
         context = default_context()

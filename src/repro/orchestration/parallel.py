@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..analysis.aggregation import MatrixReport, aggregate_outcomes
-from ..profiling import (
+from ..instrumentation import (
     PHASE_CACHE_KEY,
     PHASE_CACHE_PUT,
     PHASE_EXPAND,
@@ -71,6 +71,7 @@ from ..profiling import (
     PHASE_REPORT,
     PHASE_SIMULATE,
 )
+from .kernel import default_context
 from .matrix import (
     ScenarioMatrix,
     ScenarioOutcome,
@@ -165,8 +166,6 @@ class _ProfiledSweep:
 
     def __enter__(self) -> "SweepProfiler | None":
         if self._profiler is not None or self._metrics is not None:
-            from .kernel import default_context
-
             self._context = default_context()
             if self._profiler is not None:
                 self._profiler.start()

@@ -67,12 +67,15 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
+from ..instrumentation import PHASE_CACHE_PUT, PHASE_JSONL
+from ..store.cache import ResultCache
+from ..store.shards import encode_record
+from .axes import AXES
+from .kernel import default_context
 from .matrix import ScenarioMatrix, ScenarioSpec, run_scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
-
-    from ..store.cache import ResultCache
 
 __all__ = [
     "PoolWorkerError",
@@ -176,8 +179,6 @@ def _worker_main(conn: "Connection", worker_index: int) -> None:
     """
     from collections import OrderedDict
 
-    from .kernel import default_context
-
     context = default_context()
     # A forked child inherits whatever the parent's context held —
     # active observers, warm caches, run counters.  Reset to a clean
@@ -200,8 +201,6 @@ def _worker_main(conn: "Connection", worker_index: int) -> None:
     def open_cache(spec: tuple[Any, ...]) -> "ResultCache":
         handle = caches.get(spec)
         if handle is None:
-            from ..store.cache import ResultCache
-
             root, salt, max_entries, max_age = spec
             handle = caches[spec] = ResultCache(
                 root, salt=salt, max_entries=max_entries, max_age=max_age
@@ -278,13 +277,12 @@ def _run_pooled_chunk(
     :func:`repro.store.shards.write_shard` output for the same outcomes,
     which is what lets the parent persist them without re-encoding.
     """
-    from ..profiling import PHASE_CACHE_PUT, PHASE_JSONL, SweepProfiler
-    from ..store.shards import encode_record
-
     check_invariants = options.get("check_invariants", False)
     cache_spec = options.get("cache")
     profiler = None
     if options.get("profile"):
+        from ..profiling import SweepProfiler
+
         profiler = SweepProfiler()
         context.profiler = profiler
     started = time.perf_counter()
@@ -350,6 +348,10 @@ class WorkerPool:
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"pool needs >= 1 worker, got {workers}")
+        # Workers fork with whatever this process has loaded: import what
+        # they execute first, so it is paid once and not once per worker.
+        from . import runner  # noqa: F401
+
         started = time.perf_counter()
         try:
             ctx = multiprocessing.get_context("fork")
@@ -572,8 +574,6 @@ _ATEXIT_REGISTERED = False
 
 
 def _axes_fingerprint() -> tuple[str, ...]:
-    from .axes import AXES
-
     return AXES.names()
 
 

@@ -17,6 +17,7 @@ from ..adversary.strategies import (
     AdversarySpec,
     compose_filters,
     crash_at_filter,
+    flip_flop_filter,
     honest_filter,
     mute_coordinator_filter,
     two_faced_filter,
@@ -27,8 +28,10 @@ from ..broadcast.reliable import ReliableBroadcast
 from ..core.consensus import Consensus
 from ..core.consensus_variant import BotConsensus
 from ..core.eventual_agreement import default_timeout
+from ..core.values import BOT
 from ..errors import ConfigurationError, DeadlineExceeded, DeadlockError
 from ..net.network import Network
+from ..net.timing import Instant
 from ..net.topology import Topology, instant_topology, single_bisource
 from ..runtime.process import Process
 from ..sim.loop import Simulator
@@ -144,7 +147,6 @@ def _deploy_adversary(
         return None
     if spec.kind == "bot_relays":
         actor = RawByzantine(pid, sim, network, rng.stream("adv", pid))
-        from ..core.values import BOT
 
         def poison() -> None:
             for r in range(1, spec.params.get("max_round", 500) + 1):
@@ -158,8 +160,6 @@ def _deploy_adversary(
     elif spec.kind == "two_faced":
         outbound = two_faced_filter(spec.params["fake_value"])
     elif spec.kind == "flip_flop":
-        from ..adversary.strategies import flip_flop_filter
-
         outbound = flip_flop_filter(spec.params["values"])
     elif spec.kind == "mute_coord":
         outbound = mute_coordinator_filter()
@@ -250,8 +250,6 @@ def build_runtime(
         recycle=True,
     )
     if check_mode:
-        from ..net.timing import Instant
-
         # Self-deliveries land on the ready tier like everything else;
         # the chooser treats them as eager internal events (sound: the
         # 1e-9 self channel always beats the sampled stack's positive

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..analysis.feasibility import max_values
-from .config import RunConfig
-from .runner import ConsensusRunResult, run_consensus
+from ..analysis.tables import format_table  # noqa: F401  (re-exported)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .config import RunConfig
+    from .runner import ConsensusRunResult
 
 __all__ = [
     "PROPOSAL_PROFILES",
@@ -110,6 +113,8 @@ def sweep_seeds(
     share one progress/aggregation path across all three
     (:func:`repro.analysis.reporting.aggregate` consumes the results).
     """
+    from .runner import run_consensus
+
     results: list[ConsensusRunResult] = []
     for seed in seeds:
         result = run_consensus(make_config(seed), check_invariants=check_invariants)
@@ -117,20 +122,6 @@ def sweep_seeds(
         if on_result is not None:
             on_result(result)
     return results
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Render an aligned plain-text table (benchmark report output)."""
-    rendered = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rendered)
-    return "\n".join(out)
 
 
 def feasible_value_count(n: int, t: int, requested: int) -> int:

@@ -48,8 +48,21 @@ from __future__ import annotations
 
 import sys
 import time
-import tracemalloc
 from typing import TYPE_CHECKING, Any, Callable
+
+from .analysis.tables import format_table
+from .instrumentation import (  # noqa: F401  (phase names re-exported)
+    HARNESS_PHASES,
+    PHASE_BUILD_CONFIG,
+    PHASE_CACHE_KEY,
+    PHASE_CACHE_PUT,
+    PHASE_EXPAND,
+    PHASE_JSONL,
+    PHASE_POOL,
+    PHASE_REPORT,
+    PHASE_SIMULATE,
+    SIM_STEP,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instrumentation import InstrumentationBus
@@ -67,31 +80,6 @@ __all__ = [
     "PhaseStat",
     "SweepProfiler",
 ]
-
-#: The per-scenario harness stages, in sweep order.
-PHASE_EXPAND = "expand"
-PHASE_CACHE_KEY = "cache_key"
-PHASE_BUILD_CONFIG = "build_config"
-PHASE_SIMULATE = "simulate"
-PHASE_REPORT = "report_construct"
-PHASE_CACHE_PUT = "cache_put"
-PHASE_JSONL = "jsonl_encode"
-#: Parent-side pool overhead: shipping chunks, waiting on replies,
-#: decoding result batches.  Only populates on the pooled backend.
-PHASE_POOL = "pool_dispatch"
-
-#: Canonical display order for the phase table.
-HARNESS_PHASES = (
-    PHASE_EXPAND,
-    PHASE_CACHE_KEY,
-    PHASE_BUILD_CONFIG,
-    PHASE_SIMULATE,
-    PHASE_POOL,
-    PHASE_REPORT,
-    PHASE_CACHE_PUT,
-    PHASE_JSONL,
-)
-
 
 class PhaseStat:
     """Accumulated wall time and call count for one phase or sim label.
@@ -249,6 +237,8 @@ class SweepProfiler:
         if self._started is None:
             self._started = self._clock()
             if self.alloc:
+                import tracemalloc
+
                 self._blocks_start = sys.getallocatedblocks()
                 if not tracemalloc.is_tracing():
                     tracemalloc.start()
@@ -260,6 +250,8 @@ class SweepProfiler:
             self._wall += self._clock() - self._started
             self._started = None
             if self.alloc:
+                import tracemalloc
+
                 self.blocks_delta += (
                     sys.getallocatedblocks() - self._blocks_start
                 )
@@ -336,8 +328,6 @@ class SweepProfiler:
         """
         self._flush_pending()
         if self.sim_steps:
-            from .instrumentation import SIM_STEP
-
             sink = self._on_step_alloc if self.alloc else self._on_step
             bus.probe(SIM_STEP).attach(sink)
             self.runs += 1
@@ -485,8 +475,6 @@ class SweepProfiler:
 
     def render(self, top_labels: int = 12) -> str:
         """The human-readable per-phase / per-tag breakdown table."""
-        from .orchestration.sweeps import format_table
-
         self._flush_pending()
         wall = self.wall_seconds
         alloc = self.alloc

@@ -6,24 +6,25 @@ futures/tasks, predicate-based waiting, and reproducible hierarchical
 random streams.
 """
 
-from .clock import VirtualClock
-from .futures import Future
-from .handles import EventHandle
-from .loop import Simulator
-from .random import RngRegistry, derive_seed, substream
-from .sync import ConditionVar, SimEvent
-from .tasks import Task, gather
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "VirtualClock",
-    "Future",
-    "EventHandle",
-    "Simulator",
-    "RngRegistry",
-    "derive_seed",
-    "substream",
-    "ConditionVar",
-    "SimEvent",
-    "Task",
-    "gather",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .clock import VirtualClock
+    from .futures import Future
+    from .handles import EventHandle
+    from .loop import Simulator
+    from .random import RngRegistry, derive_seed, substream
+    from .sync import ConditionVar, SimEvent
+    from .tasks import Task, gather
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".clock": ("VirtualClock",),
+    ".futures": ("Future",),
+    ".handles": ("EventHandle",),
+    ".loop": ("Simulator",),
+    ".random": ("RngRegistry", "derive_seed", "substream"),
+    ".sync": ("ConditionVar", "SimEvent"),
+    ".tasks": ("Task", "gather"),
+})

@@ -37,65 +37,44 @@ All persistence goes through :func:`repro.store.atomic.atomic_write_text`
 entries or shards behind.
 """
 
-from .atomic import atomic_write_text
-from .cache import CacheStats, ResultCache, code_version, scenario_key
-from .collector import (
-    CollectorError,
-    ScanResult,
-    ShardCollector,
-    watch_shards,
-)
-from .shards import (
-    MergeResult,
-    ShardConflictError,
-    ShardFolder,
-    ShardTruncatedError,
-    canonical_order,
-    iter_shard_records,
-    matrix_order,
-    merge_shards,
-    parse_shard_text,
-    read_shard,
-    read_shard_tolerant,
-    write_shard,
-)
-from .resume import (
-    ResumePlan,
-    count_cached,
-    describe_counts,
-    plan_resume,
-    sweep_resume,
-)
-from .verify import VerifyMismatch, VerifyReport, verify_store
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "atomic_write_text",
-    "CacheStats",
-    "ResultCache",
-    "code_version",
-    "scenario_key",
-    "CollectorError",
-    "ScanResult",
-    "ShardCollector",
-    "watch_shards",
-    "MergeResult",
-    "ShardConflictError",
-    "ShardFolder",
-    "ShardTruncatedError",
-    "canonical_order",
-    "iter_shard_records",
-    "matrix_order",
-    "merge_shards",
-    "parse_shard_text",
-    "read_shard",
-    "read_shard_tolerant",
-    "write_shard",
-    "ResumePlan",
-    "count_cached",
-    "describe_counts",
-    "plan_resume",
-    "sweep_resume",
-    "VerifyMismatch",
-    "VerifyReport",
-    "verify_store",
-]
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .atomic import atomic_write_text
+    from .cache import CacheStats, ResultCache, code_version, scenario_key
+    from .collector import (
+        CollectorError, ScanResult, ShardCollector, watch_shards,
+    )
+    from .shards import (
+        MergeResult, ShardConflictError, ShardFolder,
+        ShardTruncatedError, canonical_order, iter_shard_records,
+        matrix_order, merge_shards, parse_shard_text, read_shard,
+        read_shard_tolerant, write_shard,
+    )
+    from .resume import (
+        ResumePlan, count_cached, describe_counts, plan_resume,
+        sweep_resume,
+    )
+    from .verify import VerifyMismatch, VerifyReport, verify_store
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".atomic": ("atomic_write_text",),
+    ".cache": ("CacheStats", "ResultCache", "code_version", "scenario_key"),
+    ".collector": (
+        "CollectorError", "ScanResult", "ShardCollector",
+        "watch_shards",
+    ),
+    ".shards": (
+        "MergeResult", "ShardConflictError", "ShardFolder",
+        "ShardTruncatedError", "canonical_order", "iter_shard_records",
+        "matrix_order", "merge_shards", "parse_shard_text",
+        "read_shard", "read_shard_tolerant", "write_shard",
+    ),
+    ".resume": (
+        "ResumePlan", "count_cached", "describe_counts", "plan_resume",
+        "sweep_resume",
+    ),
+    ".verify": ("VerifyMismatch", "VerifyReport", "verify_store"),
+})

@@ -1,6 +1,7 @@
 """Edge-case and quorum-boundary tests for reliable broadcast."""
 
 from repro.broadcast import rb_quorums
+from repro.instrumentation import NET_DELIVER
 from tests.helpers import build_system
 
 
@@ -41,11 +42,11 @@ class TestQuorumBoundaries:
         ready_senders = {pid: set() for pid in system.rbs}
         at_delivery = {}
 
-        def hook(kind, message, now):
-            if kind == "deliver" and message.tag == "RB_READY":
+        def on_deliver(message, now):
+            if message.tag == "RB_READY":
                 ready_senders[message.dest].add(message.sender)
 
-        system.network.add_hook(hook)
+        system.network.bus.attach(NET_DELIVER, on_deliver)
         for pid, rb in system.rbs.items():
             rb.subscribe("k", lambda origin, key, value, pid=pid:
                          at_delivery.setdefault(pid, len(ready_senders[pid])))

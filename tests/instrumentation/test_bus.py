@@ -132,14 +132,6 @@ class TestKernelWiring:
         sim.run()
         assert seen == [keep.seq]
 
-    def test_add_hook_compatibility_shim(self):
-        sim, network = self.build()
-        events = []
-        network.add_hook(lambda kind, m, t: events.append((kind, m.tag)))
-        network.send(1, 2, "T", None)
-        sim.run()
-        assert ("send", "T") in events and ("deliver", "T") in events
-
     def test_message_counter_attach_detach_reset(self):
         sim, network = self.build()
         counter = MessageCounter().attach(network)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.instrumentation import NET_DELIVER, NET_SEND
 from repro.net import ConstantDelay, Asynchronous, Network, Timely
 from repro.sim import RngRegistry, Simulator
 
@@ -112,7 +113,10 @@ class TestAccounting:
     def test_hooks_see_sends_and_delivers(self):
         sim, network, _ = build()
         events = []
-        network.add_hook(lambda kind, m, t: events.append((kind, m.tag)))
+        network.bus.attach(NET_SEND, lambda m, t: events.append(("send", m.tag)))
+        network.bus.attach(
+            NET_DELIVER, lambda m, t: events.append(("deliver", m.tag))
+        )
         network.send(1, 2, "T", None)
         sim.run()
         assert ("send", "T") in events

@@ -15,6 +15,7 @@ to flake over a few extra allocations.
 
 import pytest
 
+from repro.instrumentation import NET_DELIVER
 from repro.net.network import Network
 from repro.net.timing import Asynchronous, ConstantDelay
 from repro.sim.loop import Simulator
@@ -144,10 +145,7 @@ class TestMessageRecycling:
             recycle=True,
         )
         seen = []
-        network.add_hook(
-            lambda kind, message, now: seen.append(message)
-            if kind == "deliver" else None
-        )
+        network.bus.attach(NET_DELIVER, lambda message, now: seen.append(message))
         for pid in range(1, 5):
             network.register_process(pid, lambda message: None)
         for pid in range(1, 5):
