@@ -13,7 +13,7 @@ Run with ``PYTHONPATH=src python examples/cached_sweep.py``.
 import tempfile
 from pathlib import Path
 
-from repro.orchestration import ScenarioMatrix, sweep_async, sweep_serial
+from repro.orchestration import ScenarioMatrix, sweep_parallel, sweep_serial
 from repro.store import ResultCache, merge_shards, plan_resume
 
 workdir = Path(tempfile.mkdtemp(prefix="repro-cached-sweep-"))
@@ -33,9 +33,10 @@ cold = sweep_serial(matrix, cache=cache)
 print(f"cold sweep  : {cold.executed} executed, {cold.cache_hits} cached")
 assert cold.executed == len(matrix) and cold.cache_hits == 0
 
-# Warm: the same matrix again — zero scenarios execute, and the result
-# (outcomes, aggregates, everything) is bit-identical to the cold run.
-warm = sweep_async(matrix, cache=cache)
+# Warm: the same matrix again, this time allowed two worker processes —
+# zero scenarios execute (so none is started), and the result (outcomes,
+# aggregates, everything) is bit-identical to the cold run.
+warm = sweep_parallel(matrix, workers=2, cache=cache)
 print(f"warm sweep  : {warm.executed} executed, {warm.cache_hits} cached")
 assert warm.executed == 0 and warm.cache_hits == len(matrix)
 assert warm.outcomes == cold.outcomes and warm.report == cold.report

@@ -57,19 +57,18 @@ worker count can never change what an experiment means.
 Sweeps are *incremental* through the persistent result store
 (:mod:`repro.store`): a content-addressed :class:`~repro.store.ResultCache`
 keyed on each scenario's full semantic identity (config + seed + a
-code-version salt) lets any backend — ``sweep_serial``, the cooperative
-in-process ``sweep_async``, or ``sweep_parallel`` — skip
+code-version salt) lets a sweep at any worker count skip
 already-executed cells with bit-identical results (``repro sweep
 --cache DIR`` on the CLI), while :func:`repro.store.merge_shards` /
 ``repro merge`` folds JSONL shards from separate runs or machines into
 one deduplicated :class:`~repro.analysis.aggregation.MatrixReport`::
 
-    from repro.orchestration import sweep_async
+    from repro.orchestration import sweep_parallel
     from repro.store import ResultCache
 
     cache = ResultCache("results/cache")
-    sweep_async(matrix, cache=cache)   # cold: executes everything
-    again = sweep_async(matrix, cache=cache)
+    sweep_parallel(matrix, cache=cache)   # cold: executes everything
+    again = sweep_parallel(matrix, cache=cache)
     assert again.cache_hits == len(matrix)   # warm: executes nothing
 """
 

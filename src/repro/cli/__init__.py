@@ -16,8 +16,8 @@ Commands:
   × value diversity × seeds — plus ``--axis NAME=V1,V2,...`` for *any*
   registered scenario axis: ``k``, per-cell ``faults``, fault
   ``placement``, ``proposals`` profiles, budgets, custom axes; see
-  :mod:`repro.orchestration.axes`), run it on the serial,
-  cooperative-async or process-pool backend, and print aggregate plus
+  :mod:`repro.orchestration.axes`), run it in this process or on
+  ``--workers`` pooled ones, and print aggregate plus
   per-cell statistics (optionally persisting one JSONL record per
   scenario, regrouped along any axes via ``--group-by``).  With
   ``--cache DIR`` the sweep goes through the persistent result store
@@ -33,8 +33,8 @@ Commands:
 * ``dispatch`` — the distributed work queue
   (:mod:`repro.orchestration.dispatch`): ``plan`` partitions a sweep
   matrix into named shard units behind an atomic JSON manifest;
-  ``claim`` runs a worker loop that leases units, executes them on any
-  backend (sharing a ``--cache`` store if given) and writes shard
+  ``claim`` runs a worker loop that leases units, executes them at any
+  worker count (sharing a ``--cache`` store if given) and writes shard
   JSONLs; ``status`` renders the queue.  Leases expire and units are
   retried, so dead workers never wedge the sweep;
 * ``collect`` — the incremental collector (:mod:`repro.store.collector`):

@@ -5,7 +5,12 @@ from __future__ import annotations
 import argparse
 from typing import Any
 
-from .options import add_matrix_args, build_matrix, open_telemetry
+from .options import (
+    add_matrix_args,
+    build_matrix,
+    open_telemetry,
+    resolve_workers,
+)
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -41,8 +46,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                          help="worker identity recorded on leases "
                               "(default: host-pid)")
     claim_p.add_argument("--backend", default="serial",
-                         choices=["serial", "async", "parallel"],
-                         help="execution backend for each claimed unit")
+                         choices=["serial", "parallel"],
+                         help="where each claimed unit runs (serial: in "
+                              "this process; parallel: on --workers)")
     claim_p.add_argument("--workers", type=int, default=None,
                          help="process-pool size for --backend parallel")
     claim_p.add_argument("--cache", default=None, metavar="DIR",
@@ -129,8 +135,8 @@ def _claim(args: argparse.Namespace) -> int:
         )
     try:
         executed = run_claims(
-            plan, worker=worker, backend=args.backend,
-            cache=cache, workers=args.workers,
+            plan, worker=worker, cache=cache,
+            workers=resolve_workers(args.backend, args.workers),
             max_units=args.max_units, on_unit=on_unit,
             heartbeat_interval=args.heartbeat, telemetry=telemetry,
         )

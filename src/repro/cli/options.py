@@ -3,7 +3,7 @@ and the helpers that turn parsed arguments into library objects.
 
 Module level imports the scenario vocabulary only (every command that
 builds a config or a matrix loads it anyway); the store, the sweep
-backends and telemetry are imported by the helper that needs them.
+engine and telemetry are imported by the helper that needs them.
 ``merge`` and ``events`` own the two helpers ``sweep`` and ``trace``
 borrow from them, so the read-only commands never load this module.
 """
@@ -223,13 +223,26 @@ def build_matrix(args: argparse.Namespace) -> "ScenarioMatrix":
     )
 
 
-def run_sweep(backend: str, work: Any, workers: int | None, **kwargs: Any) -> Any:
-    """Run ``work`` on the backend a ``--backend`` flag chose."""
-    from ..orchestration.parallel import sweep_async, sweep_parallel, sweep_serial
+def resolve_workers(backend: str, workers: int | None) -> int:
+    """The process count a ``--backend`` / ``--workers`` pair names:
+    ``serial`` is one process, anything else is ``--workers`` (default:
+    the schedulable CPUs)."""
+    if backend == "serial":
+        return 1
+    if workers is None:
+        from ..orchestration.parallel import default_workers
 
-    if backend == "parallel":
-        return sweep_parallel(work, workers=workers, **kwargs)
-    return (sweep_async if backend == "async" else sweep_serial)(work, **kwargs)
+        return default_workers()
+    return workers
+
+
+def run_sweep(backend: str, work: Any, workers: int | None, **kwargs: Any) -> Any:
+    """Run ``work`` on the process count the flags chose."""
+    from ..orchestration.parallel import sweep_parallel
+
+    return sweep_parallel(
+        work, workers=resolve_workers(backend, workers), **kwargs
+    )
 
 
 def open_telemetry(path: Any, run_id: str, worker: str | None = None) -> Any:

@@ -17,11 +17,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     add_matrix_args(parser)
     parser.add_argument("--backend", default="serial",
-                        choices=["serial", "async", "parallel"],
-                        help="execution backend (serial gives the full "
-                             "per-event sim breakdown; parallel only "
-                             "times the parent-side phases plus worker "
-                             "chunk wall time)")
+                        choices=["serial", "parallel"],
+                        help="where scenarios run (serial: in this "
+                             "process; parallel: on --workers processes, "
+                             "whose chunk profiles are merged back, so "
+                             "both give the full per-event breakdown)")
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size for --backend parallel")
     parser.add_argument("--cache", default=None, metavar="DIR",

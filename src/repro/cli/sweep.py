@@ -41,10 +41,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--progress", action="store_true",
                         help="print one line per finished scenario")
     parser.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "async", "parallel"],
-                        help="execution backend (auto: parallel when "
-                             "--workers > 1, else serial; async is the "
-                             "cooperative in-process backend)")
+                        choices=["auto", "serial", "parallel"],
+                        help="where scenarios run (auto and parallel: "
+                             "on --workers processes; serial: in this "
+                             "one, whatever --workers says)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="persistent result store: cached scenarios "
                              "are served without re-execution, fresh "
@@ -122,11 +122,8 @@ def run(args: argparse.Namespace) -> int:
     if args.events:
         telemetry = open_telemetry(args.events, process_run_id("sweep"))
         telemetry.sweep_started(total=total)
-    backend = args.backend
-    if backend == "auto":
-        backend = "parallel" if args.workers > 1 else "serial"
     sweep = run_sweep(
-        backend, work, args.workers, on_result=progress, cache=cache,
+        args.backend, work, args.workers, on_result=progress, cache=cache,
         profiler=profiler, observer=telemetry,
     )
     if telemetry is not None:
@@ -167,7 +164,7 @@ def run(args: argparse.Namespace) -> int:
         print(f"jsonl        : {path}")
     if telemetry is not None:
         print(f"events       : {args.events} "
-              f"({telemetry.scenarios + 2} event(s) appended)")
+              f"({telemetry.ledger.emitted} event(s) appended)")
     if profiler is not None:
         print_profile(profiler, args.profile_json)
     return 0 if report.decided_runs == report.runs and report.all_safe else 1

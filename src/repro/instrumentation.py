@@ -51,6 +51,7 @@ __all__ = [
     "SIM_STEP",
     "InstrumentationBus",
     "Probe",
+    "phase",
 ]
 
 #: Standard kernel probe names.
@@ -59,8 +60,9 @@ NET_DELIVER = "net.deliver"
 SIM_STEP = "sim.step"
 
 #: The per-scenario harness stages a profiler times, in sweep order.
-#: They live here, with the probe names, so the sweep backends can name
-#: a phase without importing :mod:`repro.profiling`.
+#: They live here, with the probe names and the shared :func:`phase`
+#: scope, so the sweep can time a stage without importing
+#: :mod:`repro.profiling`.
 PHASE_EXPAND = "expand"
 PHASE_CACHE_KEY = "cache_key"
 PHASE_BUILD_CONFIG = "build_config"
@@ -69,7 +71,7 @@ PHASE_REPORT = "report_construct"
 PHASE_CACHE_PUT = "cache_put"
 PHASE_JSONL = "jsonl_encode"
 #: Parent-side pool overhead: shipping chunks, waiting on replies,
-#: decoding result batches.  Only populates on the pooled backend.
+#: decoding result batches.  Only populates on a pooled sweep.
 PHASE_POOL = "pool_dispatch"
 
 #: Canonical display order for the phase table.
@@ -83,6 +85,29 @@ HARNESS_PHASES = (
     PHASE_CACHE_PUT,
     PHASE_JSONL,
 )
+
+
+
+class _NullPhase:
+    """No-op timing scope for the unprofiled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullPhase":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
+
+
+_NULL_PHASE = _NullPhase()
+
+
+def phase(profiler: Any | None, name: str) -> Any:
+    """``profiler.phase(name)``, or one shared no-op scope when unprofiled
+    — so a timed stage is written once, not once per mode."""
+    return _NULL_PHASE if profiler is None else profiler.phase(name)
+
 
 Sink = Callable[..., None]
 

@@ -3,8 +3,8 @@
 The observability layer over the simulation platform, built on the same
 contract as the instrumentation bus it rides: **nothing costs anything
 until somebody asks**.  An unobserved run constructs no registry and no
-ledger, every kernel probe keeps ``emit is None``, and the sweep
-backends' ``observer`` stays ``None`` — telemetry is opt-in per sweep,
+ledger, every kernel probe keeps ``emit is None``, and the
+sweep's ``observer`` stays ``None`` — telemetry is opt-in per sweep,
 never ambient.
 
 * :mod:`repro.obs.metrics` — labelled counters / gauges / histograms,

@@ -108,7 +108,9 @@ class EventLedger:
     half-usable.
     """
 
-    __slots__ = ("path", "run_id", "worker", "_clock", "_mono", "_fd")
+    __slots__ = (
+        "path", "run_id", "worker", "emitted", "_clock", "_mono", "_fd",
+    )
 
     def __init__(
         self,
@@ -121,6 +123,8 @@ class EventLedger:
         self.path = Path(path)
         self.run_id = run_id
         self.worker = worker
+        #: Records this handle appended.
+        self.emitted = 0
         self._clock = clock
         self._mono = mono
         self._fd: int | None = None
@@ -158,6 +162,7 @@ class EventLedger:
         # One write(2) per record: O_APPEND serialises concurrent
         # writers at line granularity (see the module docstring).
         os.write(self._fd, line.encode("utf-8"))
+        self.emitted += 1
         return record
 
     def close(self) -> None:

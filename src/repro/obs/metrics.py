@@ -19,7 +19,7 @@ When a sweep *is* observed, :meth:`MetricsRegistry.arm` attaches three
 sinks to the kernel probes (``net.send``, ``net.deliver``, ``sim.step``)
 — re-armed per run by :meth:`KernelContext.fresh_bus
 <repro.orchestration.kernel.KernelContext.fresh_bus>`, exactly like the
-profiler — and the sweep backends bump the harness-level counters
+profiler — and the sweep bumps the harness-level counters
 directly.
 
 Metrics are process-local and in-memory; :meth:`MetricsRegistry.snapshot`

@@ -1,14 +1,14 @@
 """The observer object that threads fleet telemetry through a sweep.
 
-The sweep backends (:mod:`repro.orchestration.parallel`) and the
+The sweep (:func:`repro.orchestration.parallel.sweep_parallel`) and the
 dispatch worker loop (:func:`repro.orchestration.dispatch.run_claims`)
 know nothing about ledgers or metric registries — they accept one
 optional *observer* and call a handful of duck-typed hooks on it.
 :class:`SweepTelemetry` is the concrete observer: it fans each hook out
-to the event ledger (:mod:`repro.obs.events`), the metrics registry
-(:mod:`repro.obs.metrics`) and an optional per-scenario callback (how
-dispatch heartbeats count progress), each of which is independently
-optional.
+to the event ledger (:mod:`repro.obs.events`) and the metrics registry
+(:mod:`repro.obs.metrics`), each of which is independently optional.
+(Dispatch heartbeats do not come through here: they ride the sweep's
+``on_result`` callback.)
 
 The dependency points *into* this package only: orchestration code never
 imports :mod:`repro.obs`, so an unobserved sweep — ``observer is None``
@@ -17,7 +17,7 @@ everywhere — pays one pointer test per hook site and constructs nothing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .events import (
     EVENT_CACHE_HIT,
@@ -42,41 +42,36 @@ __all__ = ["SweepTelemetry"]
 
 
 class SweepTelemetry:
-    """Ledger + metrics + progress callback behind one observer face.
+    """Ledger + metrics behind one observer face.
 
     Args:
         ledger: Event sink; ``None`` records no history.
         metrics: Registry; ``None`` counts nothing.  When present, the
-            sweep backends install it on the kernel context so the
+            sweep installs it on the kernel context so the
             ``net.send`` / ``net.deliver`` / ``sim.step`` sinks re-arm
             per run (see :meth:`MetricsRegistry.arm
             <repro.obs.metrics.MetricsRegistry.arm>`).
-        on_scenario: Called with the running finished-scenario count
-            after every outcome (cache hits included) — the dispatch
-            heartbeat rides this.
 
     Sweep-level metric names: ``sweep.scenarios`` (labelled
     ``source=cache|executed``) and ``sweep.units`` (labelled by final
     state).
     """
 
-    __slots__ = ("ledger", "metrics", "on_scenario", "scenarios", "cache_hits")
+    __slots__ = ("ledger", "metrics", "scenarios", "cache_hits")
 
     def __init__(
         self,
         ledger: EventLedger | None = None,
         metrics: MetricsRegistry | None = None,
-        on_scenario: Callable[[int], None] | None = None,
     ) -> None:
         self.ledger = ledger
         self.metrics = metrics
-        self.on_scenario = on_scenario
         #: Outcomes seen so far (cache hits + executed).
         self.scenarios = 0
         #: Outcomes served from the result store.
         self.cache_hits = 0
 
-    # -- per-scenario hooks (called by the sweep backends) ---------------
+    # -- per-scenario hooks (called by the sweep) -------------------------
 
     def cache_hit(self, outcome: "ScenarioOutcome") -> None:
         """One scenario served from the result store."""
@@ -90,8 +85,6 @@ class SweepTelemetry:
                 cell=outcome.spec.cell_id,
                 seed=outcome.spec.seed_index,
             )
-        if self.on_scenario is not None:
-            self.on_scenario(self.scenarios)
 
     def executed(self, outcome: "ScenarioOutcome") -> None:
         """One scenario actually run (a store miss, or no store at all)."""
@@ -105,13 +98,11 @@ class SweepTelemetry:
                 seed=outcome.spec.seed_index,
                 decided=outcome.decided,
             )
-        if self.on_scenario is not None:
-            self.on_scenario(self.scenarios)
 
     def pool_started(
         self, workers: int, startup_seconds: float, reused: bool
     ) -> None:
-        """The pooled backend acquired its worker pool.
+        """A pooled sweep acquired its worker pool.
 
         ``reused`` distinguishes a warm shared pool (startup already
         amortised by an earlier sweep) from a cold spawn whose cost this

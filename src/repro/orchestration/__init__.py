@@ -32,8 +32,8 @@ if TYPE_CHECKING:  # pragma: no cover
         outcome_from_record, run_scenario,
     )
     from .parallel import (
-        SweepResult, default_workers, shard_slice, sweep_async,
-        sweep_parallel, sweep_serial,
+        SweepResult, default_workers, shard_slice, sweep_parallel,
+        sweep_serial,
     )
     from .runner import (
         ConsensusRunResult, RandomizedRunResult, default_topology,
@@ -62,7 +62,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "build_config", "outcome_from_record", "run_scenario",
     ),
     ".parallel": (
-        "SweepResult", "default_workers", "shard_slice", "sweep_async",
+        "SweepResult", "default_workers", "shard_slice",
         "sweep_parallel", "sweep_serial",
     ),
     ".runner": (

@@ -14,7 +14,7 @@ manual job.  This module closes that gap with a *work-queue dispatcher*:
   specs — same seeds, same indices);
 * any worker process — on this machine or any machine sharing the
   filesystem — **claims** a unit (:meth:`DispatchPlan.claim`), executes
-  it through the ordinary sweep backends (optionally against a shared
+  it through the ordinary sweep (optionally against a shared
   :class:`~repro.store.cache.ResultCache`), writes its shard JSONL
   atomically, and marks the unit done;
 * claims carry a **lease**: a worker that dies mid-unit stops renewing
@@ -639,9 +639,8 @@ def plan_dispatch(
 def run_claims(
     plan: DispatchPlan | str | os.PathLike[str],
     worker: str,
-    backend: str = "serial",
     cache: "ResultCache | None" = None,
-    workers: int | None = None,
+    workers: int = 1,
     max_units: int | None = None,
     on_unit: Callable[[ShardUnit, "SweepResult"], None] | None = None,
     heartbeat_interval: float | None = None,
@@ -650,12 +649,11 @@ def run_claims(
     """Claim-execute-complete until the queue has nothing for us.
 
     The worker loop of ``repro dispatch claim``: lease a unit, execute
-    its slice on the chosen backend (``serial`` / ``async`` /
-    ``parallel``, optionally against a shared result cache), write the
-    shard JSONL atomically, mark the unit done, repeat.  A unit whose
-    execution raises is released (its attempt still counted) before the
-    error propagates, so a crashing worker never wedges the queue for
-    longer than its lease.
+    its slice on ``workers`` processes (optionally against a shared
+    result cache), write the shard JSONL atomically, mark the unit done,
+    repeat.  A unit whose execution raises is released (its attempt
+    still counted) before the error propagates, so a crashing worker
+    never wedges the queue for longer than its lease.
 
     While a unit executes, the worker **heartbeats** every
     ``heartbeat_interval`` seconds (default: a quarter of the plan's
@@ -663,46 +661,33 @@ def run_claims(
     when due, writes progress into the lease record via
     :meth:`DispatchPlan.heartbeat` — which also *renews* the lease, so a
     unit slower than its lease survives as long as its worker keeps
-    finishing scenarios.  The heartbeat rides the backends' ordinary
-    ``on_result`` callback, so all three backends report identically.
+    finishing scenarios.  The heartbeat rides the sweep's ordinary
+    ``on_result`` callback, so it reports identically at any worker
+    count.
 
     ``telemetry`` is an optional observer
     (:class:`~repro.obs.telemetry.SweepTelemetry`): unit lifecycle and
     per-scenario cache events land in its ledger/metrics, and it is
-    passed to the backends as their ``observer``.  ``None`` — the
-    default — keeps the loop exactly as cheap as before.
+    passed to the sweep as its ``observer``.  ``None`` — the default —
+    keeps the loop exactly as cheap as before.
 
     Returns the units this worker completed, in execution order.
     """
-    from . import parallel
+    from .parallel import sweep_parallel
 
     if not isinstance(plan, DispatchPlan):
         plan = DispatchPlan.load(plan)
-    backends: dict[str, Callable[..., "SweepResult"]] = {
-        "serial": parallel.sweep_serial,
-        "async": parallel.sweep_async,
-        "parallel": parallel.sweep_parallel,
-    }
-    try:
-        sweep = backends[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r} "
-            f"(known: {', '.join(sorted(backends))})"
-        ) from None
     if heartbeat_interval is None:
         heartbeat_interval = plan.lease_seconds / 4.0
-    kwargs: dict[str, Any] = {"cache": cache, "observer": telemetry}
-    if backend == "parallel":
-        if workers is not None:
-            kwargs["workers"] = workers
+    transport = None
+    if workers > 1:
         # One transport for the whole plan: the matrix codec is shipped
         # to each pool worker at most once, and every subsequent unit's
         # chunks reference it by digest — consecutive units reuse the
         # warm worker-side expansion instead of re-pickling specs.
         from .pool import SpecTransport
 
-        kwargs["transport"] = SpecTransport.from_matrix(plan.matrix)
+        transport = SpecTransport.from_matrix(plan.matrix)
     executed: list[ShardUnit] = []
     while max_units is None or len(executed) < max_units:
         unit = plan.claim(worker)
@@ -710,11 +695,14 @@ def run_claims(
             break
         if telemetry is not None:
             telemetry.unit_claimed(unit)
-        kwargs["on_result"] = _heartbeat_on_result(
-            plan, unit, worker, heartbeat_interval, telemetry
-        )
         try:
-            result = sweep(plan.specs_for(unit), **kwargs)
+            result = sweep_parallel(
+                plan.specs_for(unit), workers=workers, cache=cache,
+                observer=telemetry, transport=transport,
+                on_result=_heartbeat_on_result(
+                    plan, unit, worker, heartbeat_interval, telemetry
+                ),
+            )
             # write_jsonl reuses the workers' pre-encoded record lines
             # (byte-identical to write_shard, without re-encoding).
             result.write_jsonl(plan.shard_path(unit))
@@ -747,7 +735,7 @@ def _heartbeat_on_result(
     suppress or burst-fire renewals); the manifest stamps stay wall
     clock, as every lease field does.  With a zero/negative interval
     and no telemetry there is nothing to do — return ``None`` so the
-    backends skip the callback entirely.
+    sweep skips the callback entirely.
     """
     if interval <= 0 and telemetry is None:
         return None

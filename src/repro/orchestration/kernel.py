@@ -23,7 +23,7 @@ context trims the per-scenario overhead to exactly that.
 
 :func:`default_context` returns the process-local context that
 :func:`~repro.orchestration.matrix.run_scenario` (and therefore every
-sweep backend and pool worker) uses implicitly.
+sweep and pool worker) uses implicitly.
 """
 
 from __future__ import annotations
@@ -60,20 +60,20 @@ class KernelContext:
         #: Scenarios executed through this context (introspection).
         self.runs = 0
         #: Active :class:`~repro.profiling.SweepProfiler`, or ``None``.
-        #: Set by the sweep backends for the duration of one profiled
+        #: Set by the sweep for the duration of one profiled
         #: sweep; :meth:`fresh_bus` re-arms its ``sim.step`` sink after
         #: each per-run ``bus.clear()``.  The unprofiled fast path pays
         #: one ``is None`` test per run.
         self.profiler: "SweepProfiler | None" = None
         #: Active :class:`~repro.obs.metrics.MetricsRegistry`, or
         #: ``None``.  Same lifecycle as :attr:`profiler`: the sweep
-        #: backends install it for one observed sweep, and
+        #: installs it for one observed sweep, and
         #: :meth:`fresh_bus` re-arms its kernel counting sinks per run.
         #: Unobserved runs pay one ``is None`` test here and keep every
         #: probe's ``emit`` at ``None``.
         self.metrics: Any | None = None
         #: Warm-cache accounting: how often a lookup was served from the
-        #: context instead of rebuilt.  The pooled backend round-trips
+        #: context instead of rebuilt.  The worker pool round-trips
         #: these (:meth:`stats`) to prove worker reuse across sweeps and
         #: dispatch units.
         self.topology_hits = 0

@@ -40,11 +40,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from ..adversary import strategies
 from ..adversary.strategies import AdversarySpec
-from ..instrumentation import PHASE_BUILD_CONFIG, PHASE_REPORT, PHASE_SIMULATE
+from ..instrumentation import (
+    PHASE_BUILD_CONFIG,
+    PHASE_CACHE_PUT,
+    PHASE_EXPAND,
+    PHASE_REPORT,
+    PHASE_SIMULATE,
+    phase,
+)
 from ..sim.random import derive_seed
 from . import axes as axes_mod
 from .axes import (
@@ -61,6 +68,8 @@ from .kernel import KernelContext, default_context
 from .sweeps import proposal_profile
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..profiling import SweepProfiler
+    from ..store.cache import ResultCache
     from .runner import ConsensusRunResult
 
 __all__ = [
@@ -72,7 +81,9 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioOutcome",
     "ScenarioMatrix",
+    "as_specs",
     "build_config",
+    "execute",
     "outcome_from_record",
     "run_scenario",
 ]
@@ -505,6 +516,30 @@ class ScenarioMatrix:
         return len(self.cell_dicts()) * len(self.seeds)
 
 
+def as_specs(
+    scenarios: ScenarioMatrix | Iterable[ScenarioSpec],
+    profiler: "SweepProfiler | None" = None,
+) -> list[ScenarioSpec]:
+    """The spec list a sweep, a shard slice or a resume plan works on."""
+    if isinstance(scenarios, ScenarioMatrix):
+        with phase(profiler, PHASE_EXPAND):
+            return scenarios.expand()
+    # Strictly increasing indices (a matrix expansion, or a shard_slice
+    # of one) are kept: result ordering (which sorts on spec.index)
+    # already reproduces the input order, and preserving the original
+    # matrix positions keeps shard JSONLs mergeable bit-identically with
+    # the unsharded sweep.  Hand-built / filtered lists with stale or
+    # duplicate indices are re-indexed positionally instead.
+    specs = list(scenarios)
+    indices = [spec.index for spec in specs]
+    if all(b > a for a, b in zip(indices, indices[1:])):
+        return specs
+    return [
+        spec if spec.index == i else replace(spec, index=i)
+        for i, spec in enumerate(specs)
+    ]
+
+
 def build_config(
     spec: ScenarioSpec, context: "KernelContext | None" = None
 ) -> RunConfig:
@@ -614,22 +649,10 @@ def run_scenario(
     if context is None:
         context = default_context()
     profiler = context.profiler
-    if profiler is None:
-        try:
-            result = run_consensus(
-                build_config(spec, context),
-                check_invariants=check_invariants,
-                context=context,
-            )
-        except Exception as exc:
-            if check_invariants:
-                raise
-            return _error_outcome(spec, exc)
-        return summarize_run(spec, result)
     try:
-        with profiler.phase(PHASE_BUILD_CONFIG):
+        with phase(profiler, PHASE_BUILD_CONFIG):
             config = build_config(spec, context)
-        with profiler.phase(PHASE_SIMULATE):
+        with phase(profiler, PHASE_SIMULATE):
             result = run_consensus(
                 config, check_invariants=check_invariants, context=context
             )
@@ -637,8 +660,31 @@ def run_scenario(
         if check_invariants:
             raise
         return _error_outcome(spec, exc)
-    with profiler.phase(PHASE_REPORT):
+    with phase(profiler, PHASE_REPORT):
         return summarize_run(spec, result)
+
+
+def execute(
+    specs: Iterable[ScenarioSpec],
+    check_invariants: bool = False,
+    cache: "ResultCache | None" = None,
+    profiler: "SweepProfiler | None" = None,
+) -> Iterator[ScenarioOutcome]:
+    """The one per-scenario step: run, store a clean outcome, hand it on.
+
+    The in-process sweep and every pool worker drain this generator, so
+    what a sweep does to one spec is written once.  Error outcomes are
+    *not* cached: the error may be environmental (memory pressure,
+    recursion limits), and persisting it would poison every future sweep
+    of the cell.  Timeouts are cached — they are deterministic in the
+    spec's budgets, which are part of the key.
+    """
+    for spec in specs:
+        outcome = run_scenario(spec, check_invariants=check_invariants)
+        if cache is not None and outcome.error is None:
+            with phase(profiler, PHASE_CACHE_PUT):
+                cache.put(outcome)
+        yield outcome
 
 
 def _error_outcome(spec: ScenarioSpec, exc: Exception) -> ScenarioOutcome:

@@ -50,8 +50,8 @@ each worker's :meth:`KernelContext.stats
 <repro.orchestration.kernel.KernelContext.stats>` — the warm-hit
 counters that prove reuse across ``run_claims`` units.
 
-The process-global pool (:func:`get_pool`) is what the sweep backends
-use; it respawns automatically when the requested size changes or when
+The process-global pool (:func:`get_pool`) is what a pooled sweep
+uses; it respawns automatically when the requested size changes or when
 the axis registry gained/lost axes since the fork (workers inherited the
 registry at fork time, so a stale pool would decode manifests under a
 different vocabulary).
@@ -67,12 +67,12 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..instrumentation import PHASE_CACHE_PUT, PHASE_JSONL
+from ..instrumentation import PHASE_JSONL, phase
 from ..store.cache import ResultCache
 from ..store.shards import encode_record
 from .axes import AXES
 from .kernel import default_context
-from .matrix import ScenarioMatrix, ScenarioSpec, run_scenario
+from .matrix import ScenarioMatrix, ScenarioSpec, execute
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
@@ -277,42 +277,26 @@ def _run_pooled_chunk(
     :func:`repro.store.shards.write_shard` output for the same outcomes,
     which is what lets the parent persist them without re-encoding.
     """
-    check_invariants = options.get("check_invariants", False)
     cache_spec = options.get("cache")
+    cache = None if cache_spec is None else open_cache(cache_spec)
     profiler = None
     if options.get("profile"):
         from ..profiling import SweepProfiler
 
         profiler = SweepProfiler()
-        context.profiler = profiler
+    context.profiler = profiler
     started = time.perf_counter()
     try:
-        chunk = [specs[position] for position in positions]
-        outcomes = [
-            run_scenario(spec, check_invariants=check_invariants)
-            for spec in chunk
-        ]
+        outcomes = list(execute(
+            [specs[position] for position in positions],
+            options.get("check_invariants", False), cache, profiler,
+        ))
         wall = time.perf_counter() - started
-        if cache_spec is not None:
-            cache = open_cache(cache_spec)
-            if profiler is None:
-                for outcome in outcomes:
-                    if outcome.error is None:
-                        cache.put(outcome)
-            else:
-                with profiler.phase(PHASE_CACHE_PUT):
-                    for outcome in outcomes:
-                        if outcome.error is None:
-                            cache.put(outcome)
-        if profiler is None:
+        with phase(profiler, PHASE_JSONL):
             lines = [encode_record(outcome) for outcome in outcomes]
-        else:
-            with profiler.phase(PHASE_JSONL):
-                lines = [encode_record(outcome) for outcome in outcomes]
         return lines, wall, None if profiler is None else profiler.export()
     finally:
-        if profiler is not None:
-            context.profiler = None
+        context.profiler = None
 
 
 # ---------------------------------------------------------------------------

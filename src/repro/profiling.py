@@ -10,8 +10,8 @@ accrues before optimizing the consensus path" discipline (PAPERS.md).
 
 Two instruments, one :class:`SweepProfiler`:
 
-* **Wall-clock phase timers** around the harness stages every sweep
-  backend runs per scenario — :data:`PHASE_EXPAND` (matrix expansion),
+* **Wall-clock phase timers** around the harness stages a sweep
+  runs per scenario — :data:`PHASE_EXPAND` (matrix expansion),
   :data:`PHASE_CACHE_KEY` (digest + store lookup),
   :data:`PHASE_BUILD_CONFIG`, :data:`PHASE_SIMULATE`,
   :data:`PHASE_REPORT` (outcome summarize + aggregation),
@@ -31,13 +31,14 @@ Two instruments, one :class:`SweepProfiler`:
   publishes the probe, and with no profiler attached the call sites
   keep paying exactly one ``emit is None`` test.
 
-Profiling is opt-in per sweep: the backends
-(:mod:`repro.orchestration.parallel`) install the profiler on the
+Profiling is opt-in per sweep: the sweep
+(:mod:`repro.orchestration.parallel`) installs the profiler on the
 process-local :class:`~repro.orchestration.kernel.KernelContext` for
 the duration of one sweep, and
 :meth:`~repro.orchestration.kernel.KernelContext.fresh_bus` re-arms the
 step sink before each run.  An unprofiled sweep executes the exact same
-code paths with ``profiler is None`` checks — zero sinks, zero timers.
+code with :func:`repro.instrumentation.phase` handing out one shared
+no-op scope — zero sinks, zero timers.
 
 CLI faces: ``repro sweep --profile`` (breakdown table after any sweep)
 and ``repro profile`` (dedicated command, also writes the
@@ -296,7 +297,7 @@ class SweepProfiler:
         self, name: str, seconds: float, calls: int = 1, blocks: int = 0
     ) -> None:
         """Credit ``seconds`` to phase ``name`` directly (e.g. worker-
-        reported chunk wall time on the process-pool backend)."""
+        reported chunk wall time from the worker pool)."""
         stat = self.phases.get(name)
         if stat is None:
             stat = self.phases[name] = PhaseStat()
@@ -374,7 +375,7 @@ class SweepProfiler:
     def export(self) -> dict[str, Any]:
         """Picklable snapshot of the accumulated accounting.
 
-        The pooled sweep backend runs a short-lived profiler inside each
+        A pooled sweep runs a short-lived profiler inside each
         worker chunk and ships this export back with the results;
         :meth:`merge_remote` folds it into the parent's profiler, so the
         phase table and per-tag breakdown cover worker-side work too.

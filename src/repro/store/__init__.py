@@ -8,7 +8,7 @@ platform, in three layers:
   on-disk cache keyed by a SHA-256 digest of each
   :class:`~repro.orchestration.matrix.ScenarioSpec` (config + seed +
   budgets + a code-version salt), with atomic writes and a bounded
-  in-memory LRU front.  Pass one to any sweep backend (or ``repro sweep
+  in-memory LRU front.  Pass one to any sweep (or ``repro sweep
   --cache DIR``) and repeated sweeps skip already-executed scenarios
   with bit-identical results.
 * :mod:`repro.store.shards` — JSONL shard readers/writers and
@@ -18,8 +18,8 @@ platform, in three layers:
   conflicting duplicate records.  ``repro merge SHARD... --out PATH``
   is the CLI face.
 * :mod:`repro.store.resume` — :func:`plan_resume` diffs a matrix
-  against the store; :func:`sweep_resume` dispatches only the missing
-  cells on a chosen backend.
+  against the store; a sweep given ``cache=`` executes only the missing
+  cells.
 * :mod:`repro.store.collector` — :class:`ShardCollector` /
   :func:`watch_shards`, the incremental half of distributed dispatch:
   watch a directory, fold each complete shard exactly once (truncated
@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
     )
     from .resume import (
         ResumePlan, count_cached, describe_counts, plan_resume,
-        sweep_resume,
     )
     from .verify import VerifyMismatch, VerifyReport, verify_store
 
@@ -74,7 +73,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     ".resume": (
         "ResumePlan", "count_cached", "describe_counts", "plan_resume",
-        "sweep_resume",
     ),
     ".verify": ("VerifyMismatch", "VerifyReport", "verify_store"),
 })

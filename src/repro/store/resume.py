@@ -2,11 +2,11 @@
 
 :func:`plan_resume` splits a matrix (or spec list) into the outcomes the
 cache already holds and the specs that still need execution — the
-partition every cache-aware sweep backend runs on.  :func:`sweep_resume`
-is the convenience wrapper: plan, dispatch only the missing cells on the
-chosen backend, and return one :class:`SweepResult` whose outcomes are
-indistinguishable from a fresh full sweep (cache hits reattach the
-caller's specs, so even matrix indices survive the round-trip).
+partition every cache-aware sweep runs on
+(:func:`repro.orchestration.parallel.sweep_parallel` with ``cache=``:
+cache hits reattach the caller's specs, so the merged result is
+indistinguishable from a fresh full sweep, matrix indices included).
+:func:`count_cached` is the cheap preview of the same partition.
 """
 
 from __future__ import annotations
@@ -14,18 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from ..orchestration.matrix import ScenarioMatrix, ScenarioOutcome, ScenarioSpec
-from .cache import ResultCache
+from ..orchestration.matrix import (
+    ScenarioMatrix,
+    ScenarioOutcome,
+    ScenarioSpec,
+    as_specs,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..orchestration.parallel import SweepResult
+    from .cache import ResultCache
 
 __all__ = [
     "ResumePlan",
     "count_cached",
     "describe_counts",
     "plan_resume",
-    "sweep_resume",
 ]
 
 
@@ -68,10 +71,8 @@ def count_cached(
     hit/miss stats are untouched, so this is safe to run as a preview
     right before a cache-aware sweep does the real partition.
     """
-    from ..orchestration.parallel import _as_specs
-
     cached = missing = 0
-    for spec in _as_specs(scenarios):
+    for spec in as_specs(scenarios):
         if spec in cache:
             cached += 1
         else:
@@ -84,40 +85,12 @@ def plan_resume(
     cache: ResultCache,
 ) -> ResumePlan:
     """Split ``scenarios`` into cached outcomes and missing specs."""
-    from ..orchestration.parallel import _as_specs
-
     cached: list[ScenarioOutcome] = []
     missing: list[ScenarioSpec] = []
-    for spec in _as_specs(scenarios):
+    for spec in as_specs(scenarios):
         outcome = cache.get(spec)
         if outcome is None:
             missing.append(spec)
         else:
             cached.append(outcome)
     return ResumePlan(cached=cached, missing=missing)
-
-
-def sweep_resume(
-    scenarios: ScenarioMatrix | Iterable[ScenarioSpec],
-    cache: ResultCache,
-    backend: str = "serial",
-    **kwargs: object,
-) -> "SweepResult":
-    """Run only the scenarios the store is missing, on the named backend
-    (``"serial"``, ``"async"`` or ``"parallel"``); cache hits and fresh
-    results come back merged in matrix order."""
-    from ..orchestration import parallel
-
-    backends = {
-        "serial": parallel.sweep_serial,
-        "async": parallel.sweep_async,
-        "parallel": parallel.sweep_parallel,
-    }
-    try:
-        sweep = backends[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r} "
-            f"(known: {', '.join(sorted(backends))})"
-        ) from None
-    return sweep(scenarios, cache=cache, **kwargs)  # type: ignore[operator]

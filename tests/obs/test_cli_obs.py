@@ -34,6 +34,19 @@ class TestSweepEvents:
         assert types[-1] == "sweep_finished"
         assert types.count("cache_miss") == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_printed_count_is_the_ledger_line_count(
+        self, tmp_path, capsys, workers
+    ):
+        # 12 scenarios: past INLINE_THRESHOLD, so two workers really
+        # start a pool and its pool_started record is counted too.
+        ledger = tmp_path / "events.jsonl"
+        assert main(["sweep", "--grid", "4:1", "--seeds", "12",
+                     "--workers", workers, "--events", str(ledger)]) == 0
+        lines = len(ledger.read_text().splitlines())
+        assert lines == 14 + (workers == "2")
+        assert f"({lines} event(s) appended)" in capsys.readouterr().out
+
 
 class TestClaimEvents:
     def test_claim_writes_unit_lifecycle_events(self, tmp_path, fleet):

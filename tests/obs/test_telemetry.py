@@ -72,12 +72,6 @@ class TestObservedSweep:
         assert counter.value(source="cache") == 2
         assert counter.value(source="executed") == 0
 
-    def test_on_scenario_sees_the_running_count(self, matrix):
-        counts = []
-        telemetry = SweepTelemetry(on_scenario=counts.append)
-        sweep_serial(matrix, observer=telemetry)
-        assert counts == [1, 2]
-
     def test_all_sinks_optional(self, matrix):
         # A bare telemetry object still counts scenarios and crashes on
         # nothing — every sink is independently optional.

@@ -102,15 +102,34 @@ class TestSweepCommandMatrix:
             assert record["decided"] is True
             assert record["invariants_ok"] is True
 
-    def test_backend_async_matches_serial(self, tmp_path, capsys):
-        argv = ["sweep", "--grid", "4:1", "--adversaries",
-                "crash,two_faced:evil", "--seeds", "2"]
-        serial_path = tmp_path / "serial.jsonl"
-        async_path = tmp_path / "async.jsonl"
-        assert main(argv + ["--jsonl", str(serial_path)]) == 0
-        assert main(argv + ["--backend", "async",
-                            "--jsonl", str(async_path)]) == 0
-        assert serial_path.read_bytes() == async_path.read_bytes()
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["profile"], ["dispatch", "claim", "DIR"],
+    ])
+    def test_backend_is_serial_or_parallel(self, command, capsys):
+        # The cooperative-async backend is gone: a worker count is all
+        # there is to choose, and argparse says so.
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--backend", "async"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'async'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, workers, expected", [
+        ("serial", 4, 1), ("auto", 1, 1), ("auto", 3, 3),
+        ("parallel", 3, 3), ("parallel", 1, 1),
+    ])
+    def test_backend_flags_resolve_to_a_worker_count(
+        self, backend, workers, expected
+    ):
+        from repro.cli.options import resolve_workers
+
+        assert resolve_workers(backend, workers) == expected
+
+    def test_unset_workers_default_to_the_schedulable_cpus(self, monkeypatch):
+        from repro.cli.options import resolve_workers
+
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "5")
+        assert resolve_workers("parallel", None) == 5
+        assert resolve_workers("serial", None) == 1
 
     def test_end_to_end_two_workers(self, tmp_path, capsys):
         # A tiny genuinely multi-process run: 8 scenarios on 2 workers,
@@ -156,7 +175,8 @@ class TestSweepCache:
         assert main(self.ARGV + ["--cache", cache_dir]) == 0
         capsys.readouterr()
         assert main(self.ARGV + ["--cache", cache_dir,
-                                 "--backend", "async"]) == 0
+                                 "--backend", "parallel",
+                                 "--workers", "2"]) == 0
         assert "4 hit(s), 0 executed" in capsys.readouterr().out
 
     def test_resume_prints_the_plan(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Serial vs async vs parallel sweep equivalence, aggregation, persistence."""
+"""In-process vs pooled sweep equivalence, aggregation, persistence."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.orchestration.matrix import ScenarioMatrix, build_config
 from repro.orchestration.parallel import (
     SweepResult,
     default_workers,
-    sweep_async,
     sweep_parallel,
     sweep_serial,
 )
@@ -100,36 +99,50 @@ class TestSweepParallel:
         assert_equivalent(sweep, sweep_serial(matrix))
 
 
-class TestSweepAsync:
-    def test_bit_identical_to_serial(self):
+class TestOneSweepBody:
+    """``sweep_serial`` is ``sweep_parallel(workers=1)``, whatever rides
+    along."""
+
+    @pytest.mark.parametrize("with_cache", [False, True])
+    @pytest.mark.parametrize("with_profiler", [False, True])
+    @pytest.mark.parametrize("with_observer", [False, True])
+    def test_serial_is_one_worker(
+        self, tmp_path, with_cache, with_profiler, with_observer
+    ):
+        from repro.obs.telemetry import SweepTelemetry
+        from repro.profiling import SweepProfiler
+        from repro.store.cache import ResultCache
+
+        def kwargs(name):
+            kw = {}
+            if with_cache:
+                kw["cache"] = ResultCache(tmp_path / name)
+            if with_profiler:
+                kw["profiler"] = SweepProfiler()
+            if with_observer:
+                kw["observer"] = SweepTelemetry()
+            return kw
+
         matrix = small_matrix()
-        serial = sweep_serial(matrix)
-        cooperative = sweep_async(matrix)
-        assert cooperative.outcomes == serial.outcomes
-        assert cooperative.report == serial.report
-        assert cooperative.workers == 1
-
-    def test_concurrency_never_changes_results(self):
-        matrix = small_matrix()
-        assert (
-            sweep_async(matrix, concurrency=1).outcomes
-            == sweep_async(matrix, concurrency=3).outcomes
-            == sweep_async(matrix, concurrency=100).outcomes
-        )
-
-    def test_on_result_sees_every_scenario(self):
-        seen = []
-        sweep = sweep_async(small_matrix(), concurrency=3, on_result=seen.append)
-        assert sorted(o.spec.index for o in seen) == list(range(8))
-        assert len(sweep.outcomes) == 8
-
-    def test_accepts_spec_list(self):
-        specs = small_matrix().expand()[:3]
-        assert len(sweep_async(specs).outcomes) == 3
+        for _ in ("cold", "warm"):  # the second pass is all cache hits
+            a_kw, b_kw = kwargs("a"), kwargs("b")
+            a = sweep_serial(matrix, **a_kw)
+            b = sweep_parallel(matrix, workers=1, **b_kw)
+            assert a.outcomes == b.outcomes and a.report == b.report
+            assert (a.workers, a.cache_hits) == (b.workers, b.cache_hits)
+            assert a.pool_startup_seconds == b.pool_startup_seconds == 0.0
+            if with_profiler:
+                calls = lambda kw: {
+                    name: stat.calls
+                    for name, stat in kw["profiler"].phases.items()
+                }
+                assert calls(a_kw) == calls(b_kw)
+            if with_observer:
+                assert a_kw["observer"].scenarios == b_kw["observer"].scenarios == 8
 
     def test_empty_spec_list(self):
-        sweep = sweep_async([])
-        assert sweep.outcomes == [] and sweep.report.runs == 0
+        for sweep in (sweep_serial([]), sweep_parallel([], workers=2)):
+            assert sweep.outcomes == [] and sweep.report.runs == 0
 
 
 class TestDefaultWorkers:
@@ -304,11 +317,14 @@ class TestAdaptiveChunking:
         )
 
     def test_worker_chunks_report_wall_time(self):
-        from repro.orchestration.parallel import _run_chunk
+        from repro.orchestration.kernel import default_context
+        from repro.orchestration.pool import _run_pooled_chunk
 
-        outcomes, elapsed = _run_chunk(small_matrix().expand()[:2], False)
-        assert len(outcomes) == 2
-        assert elapsed > 0
+        lines, elapsed, profile = _run_pooled_chunk(
+            small_matrix().expand(), [0, 1], {}, default_context(), None
+        )
+        assert len(lines) == 2
+        assert elapsed > 0 and profile is None
 
     def test_explicit_chunksize_still_fixed(self):
         matrix = small_matrix()

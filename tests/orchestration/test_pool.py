@@ -275,6 +275,27 @@ class TestPooledEquivalence:
         sweep_parallel(pooled_matrix(), workers=2, on_result=seen.append)
         assert sorted(o.spec.index for o in seen) == list(range(16))
 
+    def test_raising_on_result_hands_the_pool_back(self):
+        # The dispatch loop is a generator the sweep body must close: a
+        # callback that raises mid-sweep propagates, and the shared pool
+        # is neither left marked busy nor unusable.
+        matrix = pooled_matrix()
+        seen = []
+
+        def on_result(outcome):
+            seen.append(outcome)
+            if len(seen) == 3:
+                raise RuntimeError("observer gave up")
+
+        with pytest.raises(RuntimeError, match="observer gave up"):
+            sweep_parallel(matrix, workers=2, on_result=on_result)
+        assert len(seen) == 3
+        pool = pool_module._SHARED
+        assert pool is not None and not pool.active and not pool.closed
+        again = sweep_parallel(matrix, workers=2)
+        assert pool_module._SHARED is pool and again.pool_startup_seconds == 0.0
+        assert shard_bytes(again) == shard_bytes(sweep_serial(matrix))
+
     def test_explicit_pool_is_left_alive_for_the_caller(self):
         pool = WorkerPool(2)
         try:
@@ -294,15 +315,13 @@ class TestRunClaimsReuse:
         matrix = pooled_matrix()
         plan = plan_dispatch(matrix, tmp_path / "fleet", units=2)
         done_first = run_claims(
-            plan, worker="w1", backend="parallel", workers=2, max_units=1
+            plan, worker="w1", workers=2, max_units=1
         )
         assert len(done_first) == 1
         pool_a = pool_module._SHARED
         assert pool_a is not None
         first = pool_a.stats()
-        done_rest = run_claims(
-            plan, worker="w1", backend="parallel", workers=2
-        )
+        done_rest = run_claims(plan, worker="w1", workers=2)
         assert len(done_rest) == 1 and plan.finished
         assert pool_module._SHARED is pool_a, "units must share one pool"
         second = pool_a.stats()
@@ -322,7 +341,7 @@ class TestRunClaimsReuse:
         matrix = pooled_matrix()
         serial = sweep_serial(matrix)
         plan = plan_dispatch(matrix, tmp_path / "fleet", units=2)
-        run_claims(plan, worker="w1", backend="parallel", workers=2)
+        run_claims(plan, worker="w1", workers=2)
         lines = []
         for unit in plan.units:
             lines.extend(
@@ -338,7 +357,7 @@ class TestRunClaimsReuse:
         plan = plan_dispatch(matrix, tmp_path / "fleet", units=2)
         context = default_context()
         before = dict(context.stats())
-        run_claims(plan, worker="w1", backend="serial")
+        run_claims(plan, worker="w1")
         after = context.stats()
         gained = after["topology_hits"] - before["topology_hits"]
         # 8 scenarios, 2 distinct topologies: at least 6 warm hits, and

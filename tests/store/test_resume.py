@@ -1,10 +1,14 @@
-"""Resume planning and cache-aware sweeps across all three backends."""
+"""Resume planning and cache-aware sweeps, in-process and pooled."""
 
 import pytest
 
 from repro.orchestration.matrix import ScenarioMatrix
-from repro.orchestration.parallel import sweep_async, sweep_parallel, sweep_serial
-from repro.store import ResultCache, plan_resume, sweep_resume
+from repro.orchestration.parallel import (
+    INLINE_THRESHOLD,
+    sweep_parallel,
+    sweep_serial,
+)
+from repro.store import ResultCache, plan_resume
 
 
 def matrix(seeds=range(2)) -> ScenarioMatrix:
@@ -52,11 +56,12 @@ class TestCacheAwareSweeps:
         assert warm.report == cold.report
 
     def test_all_backends_share_one_store(self, cache):
-        cold = sweep_serial(matrix(), cache=cache)
-        via_async = sweep_async(matrix(), cache=cache)
+        cold = sweep_parallel(matrix(), workers=2, cache=cache)
+        assert cold.executed == 8 and cold.workers == 2
+        via_serial = sweep_serial(matrix(), cache=cache)
         via_pool = sweep_parallel(matrix(), workers=2, cache=cache)
-        assert via_async.executed == 0 and via_pool.executed == 0
-        assert via_async.outcomes == cold.outcomes
+        assert via_serial.executed == 0 and via_pool.executed == 0
+        assert via_serial.outcomes == cold.outcomes
         assert via_pool.outcomes == cold.outcomes
 
     def test_partial_cache_runs_only_the_gap(self, cache):
@@ -91,32 +96,28 @@ class TestCacheAwareSweeps:
         checked = sweep_serial(matrix(), check_invariants=True, cache=cache)
         assert checked.cache_hits == 0 and checked.executed == 8
 
-    def test_error_outcomes_are_not_cached(self, cache):
+    def test_error_outcomes_are_not_cached(self, tmp_path):
         # Errors may be environmental (memory pressure, ...); caching
-        # one would poison every future sweep of the cell.
-        from repro.orchestration.matrix import ScenarioSpec
+        # one would poison every future sweep of the cell.  The list is
+        # long enough that two workers really go through the pool.  (A
+        # loop, not a parametrisation: the test keeps its id.)
+        from dataclasses import replace
 
-        bad = [ScenarioSpec(n=4, t=1, topology="single_bisource",
-                            adversary="wizardry", num_values=2, seed=0)]
-        first = sweep_serial(bad, cache=cache)
-        assert first.outcomes[0].error is not None
-        assert len(cache) == 0
-        second = sweep_serial(bad, cache=cache)
-        assert second.cache_hits == 0 and second.executed == 1
+        good = matrix().expand()[:INLINE_THRESHOLD]
+        specs = good + [replace(good[0], adversary="wizardry",
+                                index=len(good))]
+        for workers in (1, 2):
+            cache = ResultCache(tmp_path / f"cache{workers}")
+            first = sweep_parallel(specs, workers=workers, cache=cache)
+            assert first.workers == workers
+            assert [o.error is None for o in first.outcomes] == (
+                [True] * len(good) + [False]
+            )
+            assert len(cache) == len(good)
+            second = sweep_parallel(specs, workers=workers, cache=cache)
+            assert second.cache_hits == len(good) and second.executed == 1
 
     def test_warm_elapsed_includes_cache_reads(self, cache):
         sweep_serial(matrix(), cache=cache)
         warm = sweep_serial(matrix(), cache=cache)
         assert warm.elapsed > 0 and warm.scenarios_per_second > 0
-
-
-class TestSweepResume:
-    def test_dispatches_named_backends(self, cache):
-        serial = sweep_resume(matrix(), cache, backend="serial")
-        assert serial.executed == 8
-        replay = sweep_resume(matrix(), cache, backend="async")
-        assert replay.executed == 0 and replay.outcomes == serial.outcomes
-
-    def test_unknown_backend_rejected(self, cache):
-        with pytest.raises(ValueError, match="unknown backend"):
-            sweep_resume(matrix(), cache, backend="quantum")

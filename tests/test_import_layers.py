@@ -159,6 +159,32 @@ def test_a_cold_sweep_loads_neither_checker_nor_telemetry_nor_dispatch(fleet):
     assert "repro.orchestration.runner" in ours(modules)
 
 
+def test_planning_a_resume_does_not_load_the_sweep_engine(fleet):
+    """``store.resume`` diffs specs against a cache; the normaliser it
+    shares with ``orchestration.parallel`` lives next to the matrix, so
+    neither module reaches into the other behind a function."""
+    code = (
+        "import sys\n"
+        "from repro.orchestration.matrix import ScenarioMatrix\n"
+        "from repro.store.cache import ResultCache\n"
+        "from repro.store.resume import count_cached, plan_resume\n"
+        "matrix = ScenarioMatrix(sizes=[(4, 1)], seeds=range(2))\n"
+        f"cache = ResultCache({str(fleet / 'cache')!r})\n"
+        "assert count_cached(matrix, cache) == (0, 2)\n"
+        "assert len(plan_resume(matrix, cache).missing) == 2\n"
+        "loaded = [m for m in sys.modules if m in ("
+        "'repro.orchestration.parallel', 'repro.orchestration.runner')]\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    source = (SRC / "store" / "resume.py").read_text(encoding="utf-8")
+    assert "orchestration.parallel import" not in source
+
+
 # -- the static half: walk the AST --------------------------------------
 
 
