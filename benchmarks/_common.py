@@ -2,13 +2,12 @@
 
 Each ``bench_*.py`` file regenerates one paper artifact (an algorithm
 figure or analytic claim — see DESIGN.md §5) as a printed table, writes
-it to ``benchmarks/results/``, and wraps one representative run in a
-pytest-benchmark timing.
+it to ``benchmarks/results/``, and asserts the claim on it.  Nothing
+here is timed: the repo's one benchmark is ``benchmarks/stack``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 from typing import Any, Iterable, Sequence
 
@@ -19,24 +18,11 @@ from repro.orchestration.sweeps import format_table
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def bench_workers() -> int:
-    """Worker pool size for benchmark sweeps.
-
-    ``REPRO_BENCH_WORKERS`` overrides; the default matches the number of
-    schedulable CPUs so benchmark tables regenerate as fast as the
-    hardware allows while staying bit-identical to a serial run.
-    """
-    env = os.environ.get("REPRO_BENCH_WORKERS")
-    if env:
-        return max(1, int(env))
-    from repro.orchestration.parallel import default_workers
-
-    return default_workers()
-
-
 def run_matrix(matrix: ScenarioMatrix, workers: int | None = None) -> SweepResult:
-    """Execute one scenario matrix on the benchmark worker pool."""
-    return sweep_parallel(matrix, workers=bench_workers() if workers is None else workers)
+    """Execute one scenario matrix (``workers=None``: one process per
+    schedulable CPU, or ``REPRO_SWEEP_WORKERS``; tables are bit-identical
+    at any count)."""
+    return sweep_parallel(matrix, workers=workers)
 
 
 def by_cell(sweep: SweepResult) -> dict[str, list[ScenarioOutcome]]:

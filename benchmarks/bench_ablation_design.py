@@ -17,8 +17,6 @@ A4 — cb_valid selector: the "any value" choice point (Figure 1 line 3)
      affects which value wins, never whether agreement holds.
 """
 
-import pytest
-
 from repro import RunConfig, run_consensus
 from repro.adversary import crash, two_faced
 from repro.core.values import first_added, smallest
@@ -143,11 +141,3 @@ def test_a4_selector_choice(capsys):
                "agreement and validity never do."),
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_benchmark_fifo(benchmark):
-    result = benchmark(
-        lambda: run_consensus(base_config(1, fifo=True))
-    )
-    assert result.all_decided

@@ -17,8 +17,6 @@ round while the strong rule converges only in bisource rounds; the
 randomized baseline decides everywhere but pays coin-flip rounds.
 """
 
-import pytest
-
 from repro import run_randomized
 from repro.adversary import crash
 from repro.baselines import StrongBisourceEA
@@ -154,15 +152,3 @@ def test_e8_table(capsys):
                "gives up determinism."),
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="baseline-comparison")
-def test_e8_benchmark_paper_profile(benchmark):
-    result = benchmark(ea_convergence_profile, EventualAgreement, 1)
-    assert any(result)
-
-
-@pytest.mark.benchmark(group="baseline-comparison")
-def test_e8_benchmark_randomized(benchmark):
-    result = benchmark(randomized_rounds, 1)
-    assert result is not None

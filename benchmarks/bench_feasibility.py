@@ -9,8 +9,6 @@ Regenerates:
   whole stack — waiting forever.
 """
 
-import pytest
-
 from repro import RunConfig, run_consensus, standard_proposals
 from repro.adversary import crash
 from repro.analysis.feasibility import max_values
@@ -79,9 +77,3 @@ def test_e7_boundary_behaviour(capsys):
                "empty and CB-broadcast (hence consensus) never returns."),
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="feasibility")
-def test_e7_benchmark_m_max_run(benchmark):
-    result = benchmark(run_at_m, 7, 2, 2)
-    assert result.all_decided

@@ -9,8 +9,6 @@ Regenerates, per system size:
   ``cb_valid``).
 """
 
-import pytest
-
 from repro.broadcast import CooperativeBroadcast
 from repro.sim import gather
 
@@ -86,15 +84,3 @@ def test_fig1_message_growth():
     large = run_cb_round(10, 3, seed=2)["messages"]
     ratio = large / small
     assert 5.0 < ratio < 40.0  # (10/4)^3 ~ 15.6, wide tolerance
-
-
-@pytest.mark.benchmark(group="fig1-cb")
-def test_fig1_benchmark_n7(benchmark):
-    result = benchmark(run_cb_round, 7, 2)
-    assert result["fake_excluded"]
-
-
-@pytest.mark.benchmark(group="fig1-cb")
-def test_fig1_benchmark_n13(benchmark):
-    result = benchmark(run_cb_round, 13, 4)
-    assert result["fake_excluded"]

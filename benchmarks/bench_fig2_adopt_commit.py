@@ -7,8 +7,6 @@ Regenerates:
 * latency / message cost per system size.
 """
 
-import pytest
-
 from repro.core.adopt_commit import AdoptCommit, Tag
 from repro.sim import gather
 
@@ -91,10 +89,3 @@ def test_fig2_output_domain_excludes_byzantine_values():
                        seed=3, byz_estimate="evil")
     for tag, value in out["results"].values():
         assert value in {"a", "b"}
-
-
-@pytest.mark.benchmark(group="fig2-ac")
-def test_fig2_benchmark_n7(benchmark):
-    values = {p: ("a" if p % 2 else "b") for p in range(1, 6)}
-    result = benchmark(run_ac_round, 7, 2, values)
-    assert result["results"]

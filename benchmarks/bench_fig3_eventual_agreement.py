@@ -6,8 +6,6 @@ correct processes return one common value — and the convergence round
 tracks the stabilization time ``tau`` of the bisource's channels.
 """
 
-import pytest
-
 from repro.core.eventual_agreement import EventualAgreement
 from repro.net import single_bisource
 from repro.sim import gather
@@ -96,12 +94,3 @@ def test_fig3_no_bisource_no_guarantee_but_safe(capsys):
         ]
         results = system.run(gather(system.sim, tasks), max_time=10_000_000.0)
         assert len(results) == n  # every invocation terminated
-
-
-@pytest.mark.benchmark(group="fig3-ea")
-def test_fig3_benchmark_one_ea_round(benchmark):
-    def run_once():
-        return drive_rounds(4, 1, tau=0.0, seed=7, rounds=4)
-
-    result = benchmark(run_once)
-    assert result["messages"] > 0

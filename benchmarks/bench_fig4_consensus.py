@@ -11,8 +11,6 @@ parallel sweep engine; results are identical to a serial run by
 construction (per-scenario seeds are derived structurally).
 """
 
-import pytest
-
 from repro.orchestration.matrix import ScenarioMatrix, run_scenario
 
 import sys, pathlib
@@ -84,21 +82,3 @@ def test_fig4_message_scaling(capsys):
         notes=f"ratio = {ratio:.1f} (Theta(n^3) predicts ~15.6)",
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="fig4-consensus")
-def test_fig4_benchmark_n4(benchmark):
-    result = benchmark(run_one, 4, 1, "crash", 1)
-    assert result.decided
-
-
-@pytest.mark.benchmark(group="fig4-consensus")
-def test_fig4_benchmark_n7(benchmark):
-    result = benchmark(run_one, 7, 2, "crash", 1)
-    assert result.decided
-
-
-@pytest.mark.benchmark(group="fig4-consensus")
-def test_fig4_benchmark_n7_twofaced(benchmark):
-    result = benchmark(run_one, 7, 2, "two_faced:evil", 1)
-    assert result.decided

@@ -14,8 +14,6 @@ quorum poisoning); the only difference between the two columns is one
 timely channel.
 """
 
-import pytest
-
 from repro.core.eventual_agreement import EventualAgreement
 from repro.core.values import BOT
 from repro.net import (
@@ -168,9 +166,3 @@ def test_e10_table(capsys):
                "|X+| = t the adversary fills every quorum with ⊥."),
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="necessity")
-def test_e10_benchmark_narrow(benchmark):
-    result = benchmark(convergence_profile, T, 1)
-    assert isinstance(result, list)

@@ -10,8 +10,6 @@ convergence round under the adversarial coordinator-starving schedule
 (where the coordinator machinery, not schedule luck, must do the work).
 """
 
-import pytest
-
 from repro.analysis.combinatorics import beta, first_good_round, worst_case_round_bound
 from repro.core.eventual_agreement import EventualAgreement
 from repro.core.values import BOT
@@ -123,10 +121,3 @@ def test_e6_table(capsys):
                "beta*n = C(n, n-t+k)*n round horizon; k=t yields n."),
         capsys=capsys,
     )
-
-
-@pytest.mark.benchmark(group="sec54-parameterized")
-@pytest.mark.parametrize("k", [0, 2])
-def test_e6_benchmark_convergence(benchmark, k):
-    result = benchmark(measure_convergence, 7, 2, k, 1)
-    assert result is not None

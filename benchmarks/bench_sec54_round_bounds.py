@@ -14,7 +14,6 @@ Regenerates, per (n, t):
 
 import itertools
 
-import pytest
 
 from repro import RunConfig, run_consensus, standard_proposals
 from repro.adversary import crash
@@ -119,14 +118,3 @@ def test_e5_low_faults_approach_the_bound():
     correct = set(range(3, 8))
     worst_round, _, _ = analytic_worst_placement(n, t, correct=correct)
     assert worst_round > worst_case_round_bound(n, t) - n
-
-
-@pytest.mark.benchmark(group="sec54-bounds")
-def test_e5_benchmark_worst_case_n4(benchmark):
-    worst_round, bisource, x_plus = analytic_worst_placement(4, 1)
-
-    def run_once():
-        return run_worst_case(4, 1, bisource, x_plus, seed=1)
-
-    result = benchmark(run_once)
-    assert result.all_decided

@@ -48,9 +48,9 @@ Commands:
   of per-scenario harness phases (expand, cache keying, build_config,
   simulate, report construction, cache puts, JSONL encode) and one
   breaking ``simulate`` down per simulator event label (protocol tag for
-  deliveries, callback for timers/tasks), plus a machine-readable
-  ``BENCH_profile.json``.  ``sweep --profile`` attaches the same
-  profiler to an ordinary sweep;
+  deliveries, callback for timers/tasks), plus, with ``--out
+  profile.json``, the machine-readable snapshot.  ``sweep --profile``
+  attaches the same profiler to an ordinary sweep;
 * ``store verify`` — integrity scrub: re-execute a deterministic sample
   of cached scenarios on the current kernel and compare digests against
   the stored records (non-zero exit on drift);

@@ -11,9 +11,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.formatter_class = argparse.RawDescriptionHelpFormatter
     parser.epilog = (
         "runs the matrix like `repro sweep`, with the virtual-time\n"
-        "profiler armed, prints the breakdown tables and writes a\n"
-        "machine-readable profile JSON.  how to read one:\n"
-        "docs/profiling.md"
+        "profiler armed, prints the breakdown tables and, with\n"
+        "--out profile.json, writes a machine-readable profile JSON.\n"
+        "how to read one: docs/profiling.md"
     )
     add_matrix_args(parser)
     parser.add_argument("--backend", default="serial",
@@ -35,10 +35,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "allocated-block deltas per phase and per "
                              "sim tag, plus the tracemalloc peak "
                              "(slower; docs/profiling.md)")
-    parser.add_argument("--out", default="BENCH_profile.json",
-                        metavar="PATH",
+    parser.add_argument("--out", default=None, metavar="PATH",
                         help="machine-readable profile output "
-                             "(default: %(default)s)")
+                             "(default: not written)")
 
 
 def run(args: argparse.Namespace) -> int:

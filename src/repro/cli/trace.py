@@ -15,7 +15,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "default: execute one consensus run (same knobs as `repro\n"
         "run`) with tracing on and export its timeline.  --ledger\n"
         "exports a fleet event-ledger slice instead; --from-profile\n"
-        "exports a BENCH_profile.json phase breakdown.  load the\n"
+        "exports a `repro profile --out` phase breakdown.  load the\n"
         "output at https://ui.perfetto.dev — docs/observability.md"
     )
     add_system_args(parser)
@@ -23,8 +23,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="export this event ledger (file or dispatch "
                              "directory) instead of running")
     parser.add_argument("--from-profile", default=None, metavar="PATH",
-                        help="export this BENCH_profile.json instead of "
-                             "running")
+                        help="export this profile JSON (`repro profile "
+                             "--out`) instead of running")
     parser.add_argument("--out", default="trace.json", metavar="PATH",
                         help="trace output path (default: %(default)s)")
     parser.add_argument("--label", default=None, metavar="NAME",

@@ -10,7 +10,7 @@ shapes into it:
   deliveries become instants joined by flow arrows (follow one message
   across the network), RB-deliveries and decisions become markers.
   Virtual time maps to trace time at **1 virtual unit = 1 ms**;
-* :func:`trace_from_profile` — a ``BENCH_profile.json`` body
+* :func:`trace_from_profile` — a ``repro profile --out`` JSON body
   (:meth:`SweepProfiler.to_dict <repro.profiling.SweepProfiler.to_dict>`):
   aggregate phases laid end-to-end as duration slices, one track for the
   harness phases and one for the per-event sim labels;
@@ -122,7 +122,7 @@ def trace_from_tracer(
 def trace_from_profile(
     profile: Mapping[str, Any], label: str = "sweep profile"
 ) -> dict[str, Any]:
-    """Convert a ``BENCH_profile.json`` body into duration slices.
+    """Convert a ``repro profile --out`` JSON body into duration slices.
 
     Aggregates carry no timestamps, so slices are laid end-to-end in
     table order — the track reads as "where the time went", not "when".

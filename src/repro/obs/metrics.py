@@ -22,11 +22,14 @@ sinks to the kernel probes (``net.send``, ``net.deliver``, ``sim.step``)
 profiler — and the sweep bumps the harness-level counters
 directly.
 
-Metrics are process-local and in-memory; :meth:`MetricsRegistry.snapshot`
-renders the whole registry as one JSON-friendly dict, which the event
-ledger (:mod:`repro.obs.events`) embeds into ``sweep_finished`` /
-``unit_completed`` events so a fleet's numbers survive the processes
-that produced them.  See ``docs/observability.md``.
+Metrics are process-local and in-memory; a pooled sweep's workers count
+into chunk-local registries whose :meth:`MetricsRegistry.export` the
+parent folds in with :meth:`MetricsRegistry.merge_remote`.
+:meth:`MetricsRegistry.snapshot` renders the whole registry as one
+JSON-friendly dict, which the event ledger (:mod:`repro.obs.events`)
+embeds into ``sweep_finished`` / ``unit_completed`` events so a fleet's
+numbers survive the processes that produced them.  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -315,6 +318,34 @@ class MetricsRegistry:
             steps[()] = steps.get((), 0.0) + 1.0
 
         return {NET_SEND: on_send, NET_DELIVER: on_deliver, SIM_STEP: on_step}
+
+    # -- cross-process merge ---------------------------------------------
+
+    def export(self) -> dict[str, Any]:
+        """Picklable snapshot of every counter series.
+
+        A pooled sweep arms a chunk-local registry inside the worker and
+        ships this back in the chunk reply, in the same dict as the
+        chunk profiler's :meth:`~repro.profiling.SweepProfiler.export`
+        (the keys are disjoint); :meth:`merge_remote` folds it into the
+        parent's registry, so kernel counters accumulate at any worker
+        count.  Counters only: a worker-side registry is fed by the
+        kernel sinks, which write nothing else.
+        """
+        return {
+            "counters": {
+                metric.name: list(metric._series.items())
+                for metric in self._metrics.values()
+                if type(metric) is Counter
+            }
+        }
+
+    def merge_remote(self, data: dict[str, Any]) -> None:
+        """Fold a worker's :meth:`export` into this registry."""
+        for name, entries in data.get("counters", {}).items():
+            series = self.counter(name)._series
+            for key, value in entries:
+                series[key] = series.get(key, 0.0) + value
 
     # -- snapshot --------------------------------------------------------
 

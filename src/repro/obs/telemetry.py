@@ -10,9 +10,11 @@ to the event ledger (:mod:`repro.obs.events`) and the metrics registry
 (Dispatch heartbeats do not come through here: they ride the sweep's
 ``on_result`` callback.)
 
-The dependency points *into* this package only: orchestration code never
-imports :mod:`repro.obs`, so an unobserved sweep — ``observer is None``
-everywhere — pays one pointer test per hook site and constructs nothing.
+The dependency points *into* this package only: orchestration code
+imports :mod:`repro.obs` in one place, behind a test — a pool worker
+whose chunk was asked to count builds the chunk-local registry there —
+so an unobserved sweep — ``observer is None`` everywhere — pays one
+pointer test per hook site and constructs nothing.
 """
 
 from __future__ import annotations

@@ -117,22 +117,17 @@ class _ProfiledSweep:
     ``sim.step`` sink per run.  An ``observer`` carrying a metrics
     registry (:class:`~repro.obs.telemetry.SweepTelemetry`) likewise has
     its kernel counting sinks re-armed per run.  With neither a profiler
-    nor an observer the scope is a no-op, so the sweep wraps its body
+    nor a registry the scope is a no-op, so the sweep wraps its body
     unconditionally.
     """
 
     __slots__ = ("_profiler", "_metrics", "_context")
 
     def __init__(
-        self,
-        profiler: "SweepProfiler | None",
-        observer: Any | None = None,
+        self, profiler: "SweepProfiler | None", metrics: Any | None
     ) -> None:
         self._profiler = profiler
-        self._metrics = (
-            getattr(observer, "metrics", None)
-            if observer is not None else None
-        )
+        self._metrics = metrics
         self._context = None
 
     def __enter__(self) -> "SweepProfiler | None":
@@ -387,7 +382,10 @@ def sweep_parallel(
             sees every outcome as it lands — ``cache_hit`` for
             store-served cells, ``executed`` for fresh ones — and its
             metrics registry, if any, is armed on the kernel bus per
-            run.  An unobserved sweep runs the exact same code with
+            run; each worker chunk counts into a chunk-local registry
+            whose export is merged back, as the profiler's is, so the
+            ``kernel.*`` totals are the same at any worker count.  An
+            unobserved sweep runs the exact same code with
             ``observer is None``.
         pool: An explicit :class:`~repro.orchestration.pool.WorkerPool`
             to run on (kept alive for the caller); ``None`` uses the
@@ -402,7 +400,8 @@ def sweep_parallel(
     if workers is None:
         workers = default_workers()
     started = time.perf_counter()
-    with _ProfiledSweep(profiler, observer):
+    metrics = getattr(observer, "metrics", None)
+    with _ProfiledSweep(profiler, metrics):
         specs = as_specs(scenarios, profiler)
         outcomes, missing = _split_cached(
             specs, cache, check_invariants, profiler
@@ -431,7 +430,7 @@ def sweep_parallel(
             workers = pool.size
             fresh = _pooled(
                 pool, owned, transport, missing, chunksize,
-                check_invariants, cache, profiler, encoded,
+                check_invariants, cache, profiler, metrics, encoded,
             )
         try:
             for outcome in fresh:
@@ -489,6 +488,7 @@ def _pooled(
     check_invariants: bool,
     cache: "ResultCache | None",
     profiler: "SweepProfiler | None",
+    metrics: Any | None,
     encoded: dict[int, str],
 ) -> Iterator[ScenarioOutcome]:
     """The pooled dispatch loop: fresh outcomes in completion order.
@@ -518,6 +518,8 @@ def _pooled(
         )
     if profiler is not None:
         options["profile"] = True
+    if metrics is not None:
+        options["metrics"] = True
     position = 0
     inflight: dict[int, list[ScenarioSpec]] = {}
     pool.active = True
@@ -536,7 +538,7 @@ def _pooled(
                 inflight[job_id] = chunk
             for job_id, payload in pool.wait_any():
                 chunk_specs = inflight.pop(job_id)
-                lines, spent, profile_export = payload
+                lines, spent, export = payload
                 with phase(profiler, PHASE_POOL):
                     chunk_outcomes = [
                         outcome_from_record(json.loads(line), spec=spec)
@@ -550,8 +552,10 @@ def _pooled(
                         per_spec if cost_ema is None
                         else 0.5 * cost_ema + 0.5 * per_spec
                     )
-                if profile_export is not None:
-                    profiler.merge_remote(profile_export)
+                if export is not None:
+                    for instrument in (profiler, metrics):
+                        if instrument is not None:
+                            instrument.merge_remote(export)
                 yield from chunk_outcomes
     except BaseException:
         pool.abort(inflight)

@@ -8,7 +8,7 @@ was shipped both directions), and a cold per-worker
 :class:`~repro.orchestration.kernel.KernelContext` (topology and
 adversary caches rebuilt from nothing each time).  On sweeps of
 millisecond-scale scenarios the overhead swamped the simulator work —
-``BENCH_sweep.json`` recorded parallel *slower* than serial.
+the sweep benchmark of the time recorded parallel *slower* than serial.
 
 :class:`WorkerPool` keeps the processes.  Workers are forked once and
 live until :meth:`WorkerPool.shutdown` (or interpreter exit); each one
@@ -42,10 +42,12 @@ blocked sending a large result batch is always drained by the parent's
 ``connection.wait`` loop.
 
 Observability rides along: chunk replies carry worker wall time (feeds
-the parent's adaptive chunk sizing), optional per-worker
-:class:`~repro.profiling.SweepProfiler` phase exports (merged into the
-parent's profiler, so ``repro profile`` attributes build/simulate/report
-time even on the pooled path), and :meth:`WorkerPool.stats` round-trips
+the parent's adaptive chunk sizing) and one optional export dict: what a
+chunk-local :class:`~repro.profiling.SweepProfiler` and/or
+:class:`~repro.obs.metrics.MetricsRegistry` accumulated, folded into the
+parent's by their ``merge_remote`` — so ``repro profile`` attributes
+build/simulate/report time, and an observed sweep's ``kernel.*`` counters
+add up, at any worker count.  :meth:`WorkerPool.stats` round-trips
 each worker's :meth:`KernelContext.stats
 <repro.orchestration.kernel.KernelContext.stats>` — the warm-hit
 counters that prove reuse across ``run_claims`` units.
@@ -182,7 +184,7 @@ def _worker_main(conn: "Connection", worker_index: int) -> None:
     context = default_context()
     # A forked child inherits whatever the parent's context held —
     # active observers, warm caches, run counters.  Reset to a clean
-    # slate: worker-side profiling is opt-in per chunk, and the stats()
+    # slate: worker-side instruments are opt-in per chunk, and the stats()
     # round-trip must account for *this worker's* work only.
     context.clear()
     context.runs = 0
@@ -271,20 +273,29 @@ def _run_pooled_chunk(
     context: Any,
     open_cache: Any,
 ) -> tuple[list[str], float, dict[str, Any] | None]:
-    """Execute one chunk; returns (encoded lines, wall seconds, profile).
+    """Execute one chunk; returns (encoded lines, wall seconds, export).
 
     The encoded lines are byte-identical to
     :func:`repro.store.shards.write_shard` output for the same outcomes,
     which is what lets the parent persist them without re-encoding.
+    ``export`` is one dict holding what each chunk-local instrument the
+    sweep asked for accumulated (``SweepProfiler.export`` and
+    ``MetricsRegistry.export`` use disjoint keys; the parent's
+    ``merge_remote`` of each reads its own), ``None`` when it asked for
+    neither.
     """
     cache_spec = options.get("cache")
     cache = None if cache_spec is None else open_cache(cache_spec)
-    profiler = None
+    profiler = metrics = None
     if options.get("profile"):
         from ..profiling import SweepProfiler
 
         profiler = SweepProfiler()
-    context.profiler = profiler
+    if options.get("metrics"):
+        from ..obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+    context.profiler, context.metrics = profiler, metrics
     started = time.perf_counter()
     try:
         outcomes = list(execute(
@@ -294,9 +305,13 @@ def _run_pooled_chunk(
         wall = time.perf_counter() - started
         with phase(profiler, PHASE_JSONL):
             lines = [encode_record(outcome) for outcome in outcomes]
-        return lines, wall, None if profiler is None else profiler.export()
+        export: dict[str, Any] = {}
+        for instrument in (profiler, metrics):
+            if instrument is not None:
+                export.update(instrument.export())
+        return lines, wall, export or None
     finally:
-        context.profiler = None
+        context.profiler = context.metrics = None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Virtual-time sweep profiler: where does sweep wall time actually go?
 
-``benchmarks/results/history.txt`` caught the kernel getting *faster*
-while end-to-end sweep throughput got *slower* — the classic sign that
+The PR 5 bench history caught the kernel getting *faster* while
+end-to-end sweep throughput got *slower* — the classic sign that
 the per-scenario harness (spec codec, cache keying, report
 construction, JSONL encode), not the simulator, had become the
 bottleneck.  This module makes that measurable instead of guessable, in
@@ -41,8 +41,8 @@ code with :func:`repro.instrumentation.phase` handing out one shared
 no-op scope — zero sinks, zero timers.
 
 CLI faces: ``repro sweep --profile`` (breakdown table after any sweep)
-and ``repro profile`` (dedicated command, also writes the
-machine-readable ``BENCH_profile.json``).  See ``docs/profiling.md``.
+and ``repro profile`` (dedicated command; ``--out profile.json`` also
+writes the machine-readable snapshot).  See ``docs/profiling.md``.
 """
 
 from __future__ import annotations
@@ -413,7 +413,7 @@ class SweepProfiler:
     # -- reporting -------------------------------------------------------
 
     def to_dict(self, top_labels: int = 20) -> dict[str, Any]:
-        """Machine-readable profile (the ``BENCH_profile.json`` body).
+        """Machine-readable profile (the ``repro profile --out`` body).
 
         In allocation mode each phase/label additionally reports its
         net ``blocks`` delta, and a top-level ``alloc`` section carries

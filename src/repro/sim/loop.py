@@ -420,9 +420,9 @@ class Simulator:
         events executed and raises :class:`DeadlineExceeded` when hit.
 
         Like :meth:`run_until_complete`, the two-tier pop is inlined:
-        this is the loop the kernel microbenchmarks (and any protocol
-        driven to quiescence rather than to a future) spend their time
-        in, and going through ``peek_time()`` + ``step()`` per event
+        this is the loop the benchmark's traced kernel rungs (and any
+        protocol driven to quiescence rather than to a future) spend their
+        time in, and going through ``peek_time()`` + ``step()`` per event
         paid the tombstone skim and the tier merge twice.  Budget
         checks still run against the *peeked* next event, which stays
         queued when a budget trips — observable behaviour (event order,

@@ -36,9 +36,10 @@ bare microbench reaches steady-state reuse after the first few events).
 The ``*_created`` / ``*_reused`` counters are exact and deterministic —
 they are the kernel's own accounting, not a sampling profiler — which
 makes them the right signal for the allocation regression gate
-(``benchmarks/bench_history.py --max-alloc-rise``): a code change that
-bypasses a freelist shows up as a jump in created-per-event no matter
-how the allocator or the GC happens to behave.
+(``sim.allocs_per_event`` of the ``benchmarks/stack`` traced run, which
+CI's stack-smoke job bounds): a code change that bypasses a freelist
+shows up as a jump in created-per-event no matter how the allocator or
+the GC happens to behave.
 """
 
 from __future__ import annotations

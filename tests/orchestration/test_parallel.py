@@ -320,11 +320,18 @@ class TestAdaptiveChunking:
         from repro.orchestration.kernel import default_context
         from repro.orchestration.pool import _run_pooled_chunk
 
-        lines, elapsed, profile = _run_pooled_chunk(
-            small_matrix().expand(), [0, 1], {}, default_context(), None
+        specs, context = small_matrix().expand(), default_context()
+        lines, elapsed, export = _run_pooled_chunk(
+            specs, [0, 1], {}, context, None
         )
         assert len(lines) == 2
-        assert elapsed > 0 and profile is None
+        # An unobserved chunk constructs no instrument and ships no export.
+        assert elapsed > 0 and export is None
+        observed = _run_pooled_chunk(
+            specs, [0, 1], {"metrics": True}, context, None
+        )
+        assert observed[0] == lines and context.metrics is None
+        assert observed[2]["counters"]["kernel.runs"] == [((), 2.0)]
 
     def test_explicit_chunksize_still_fixed(self):
         matrix = small_matrix()

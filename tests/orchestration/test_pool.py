@@ -53,6 +53,14 @@ def shard_bytes(result) -> list[str]:
     return [encode_record(outcome) for outcome in result.outcomes]
 
 
+def counted(telemetry) -> dict:
+    """What an observed run counted, series by series, minus
+    ``sweep.pool`` — the one counter only a pooled run bumps."""
+    snapshot = telemetry.metrics.snapshot()
+    snapshot.pop("sweep.pool", None)
+    return snapshot
+
+
 @pytest.fixture(autouse=True)
 def fresh_shared_pool():
     """Each test starts and ends without a live shared pool."""
@@ -215,6 +223,12 @@ class TestPooledEquivalence:
             assert snapshot["sim"]["runs"] == 16
         if with_observer:
             assert observer.scenarios == 16
+            # The ledger's numbers too: counted in the workers, every
+            # kernel.* series and sweep.scenarios equal the in-process ones.
+            in_process = SweepTelemetry(metrics=MetricsRegistry())
+            sweep_serial(matrix, observer=in_process)
+            assert counted(observer) == counted(in_process)
+            assert observer.metrics.counter("kernel.runs").total() == 16
 
     def test_resume_mid_sweep_is_bit_identical(self, tmp_path):
         matrix = pooled_matrix()
@@ -340,15 +354,24 @@ class TestRunClaimsReuse:
     def test_pooled_units_merge_bit_identical_to_serial(self, tmp_path):
         matrix = pooled_matrix()
         serial = sweep_serial(matrix)
-        plan = plan_dispatch(matrix, tmp_path / "fleet", units=2)
-        run_claims(plan, worker="w1", workers=2)
-        lines = []
-        for unit in plan.units:
-            lines.extend(
-                plan.shard_path(unit).read_text().splitlines(keepends=True)
+        ledgers = {}
+        for workers in (1, 2):
+            plan = plan_dispatch(matrix, tmp_path / f"fleet{workers}", units=2)
+            telemetry = SweepTelemetry(metrics=MetricsRegistry())
+            run_claims(
+                plan, worker="w1", workers=workers, telemetry=telemetry
             )
-        by_index = sorted(lines, key=lambda l: json.loads(l)["index"])
-        assert by_index == shard_bytes(serial)
+            ledgers[workers] = counted(telemetry)
+            lines = []
+            for unit in plan.units:
+                lines.extend(
+                    plan.shard_path(unit).read_text().splitlines(keepends=True)
+                )
+            by_index = sorted(lines, key=lambda l: json.loads(l)["index"])
+            assert by_index == shard_bytes(serial)
+        # unit_completed.metrics has no hole next to the serial ledger.
+        assert ledgers[2] == ledgers[1]
+        assert ledgers[2]["kernel.runs"]["series"][0]["value"] == 16
 
     def test_serial_backend_context_also_stays_warm(self, tmp_path):
         from repro.orchestration.kernel import default_context

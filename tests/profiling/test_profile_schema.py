@@ -1,9 +1,9 @@
-"""The BENCH_profile.json schema contract.
+"""The profile JSON schema contract (``repro profile --out profile.json``).
 
-``SweepProfiler.to_dict`` is consumed by three independent readers: the
-bench trend gate, the ``repro trace --from-profile`` exporter and the
-docs examples.  This test pins the key sets so a schema drift breaks
-loudly here instead of silently in a consumer.
+``SweepProfiler.to_dict`` is consumed by two independent readers: the
+``repro trace --from-profile`` exporter and the docs examples.  This
+test pins the key sets so a schema drift breaks loudly here instead of
+silently in a consumer.
 """
 
 import json
@@ -23,19 +23,38 @@ def small_profile():
     return profiler.to_dict()
 
 
+def assert_pinned_key_sets(profile):
+    assert set(profile) == {
+        "wall_seconds", "coverage", "phases", "sim"
+    }
+    assert set(profile["sim"]) == {
+        "events", "runs", "labels", "labels_truncated"
+    }
+    for stat in profile["phases"].values():
+        assert set(stat) == {"seconds", "calls"}
+    for stat in profile["sim"]["labels"].values():
+        assert set(stat) == {"seconds", "events"}
+
+
 class TestSchema:
     def test_top_level_and_nested_key_sets(self):
-        profile = small_profile()
-        assert set(profile) == {
-            "wall_seconds", "coverage", "phases", "sim"
-        }
-        assert set(profile["sim"]) == {
-            "events", "runs", "labels", "labels_truncated"
-        }
-        for stat in profile["phases"].values():
-            assert set(stat) == {"seconds", "calls"}
-        for stat in profile["sim"]["labels"].values():
-            assert set(stat) == {"seconds", "events"}
+        assert_pinned_key_sets(small_profile())
+
+    def test_the_cli_writes_it_only_where_out_says(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        argv = ["profile", "--grid", "4:1", "--seeds", "2"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert "(measured wall)" in printed and "tag:RB_READY" in printed
+        assert "profile json" not in printed
+        assert list(tmp_path.iterdir()) == []
+        assert main([*argv, "--out", "p.json"]) == 0
+        assert "profile json : p.json" in capsys.readouterr().out
+        assert_pinned_key_sets(json.loads((tmp_path / "p.json").read_text()))
 
     def test_json_round_trip_is_lossless(self):
         profile = small_profile()

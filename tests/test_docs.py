@@ -36,6 +36,10 @@ def test_no_dead_relative_links():
 def test_broken_link_detected(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "a.md").write_text(
-        "[good](a.md) and [bad](missing.md) and [web](https://x.example)"
+        "[good](a.md) and [bad](missing.md) and [web](https://x.example)\n"
+        "`docs/a.md` lives, `python docs/gone.py --quick` does not and\n"
+        "`docs/*.md` names no single file\n"
     )
-    assert dead_links(tmp_path) == ["docs/a.md: missing.md"]
+    assert dead_links(tmp_path) == [
+        "docs/a.md: missing.md", "docs/a.md: `docs/gone.py`",
+    ]

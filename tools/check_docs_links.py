@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on dead relative links in the Markdown docs.
+"""Fail on dead relative links and dead repo paths in the Markdown docs.
 
 Scans ``docs/*.md`` and ``README.md`` for inline Markdown links and
 images, resolves every *relative* target against the linking file's
@@ -7,6 +7,12 @@ directory, and exits non-zero listing any target that does not exist.
 External links (``http(s)://``, ``mailto:``) and pure in-page anchors
 (``#...``) are ignored; a relative link's ``#fragment`` is stripped
 before the existence check.
+
+Backticked repo paths are resolved too, so a deleted file cannot stay
+documented: inside an inline code span, every word whose first segment
+is one of :data:`REPO_DIRS` must exist under the repo root (a
+``:line`` or ``::test`` suffix is dropped first).  Globs, ``{a,b}``
+sets and ``<placeholders>`` name no single file and are skipped.
 
 CI runs this as the docs gate; locally::
 
@@ -25,6 +31,15 @@ LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 #: Schemes that are not filesystem targets.
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
+
+#: Top-level directories a backticked word must start with to be read
+#: as a repo path.
+REPO_DIRS = ("src", "tests", "benchmarks", "docs", "tools", "examples")
+
+FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+CODE_SPAN = re.compile(r"`([^`]+)`")
+REPO_PATH = re.compile(rf"(?:{'|'.join(REPO_DIRS)})/[^\s:]*")
+NOT_ONE_FILE = re.compile(r"[*?\[{<]")
 
 
 def iter_doc_files(root: Path) -> list[Path]:
@@ -48,6 +63,14 @@ def dead_links(root: Path) -> list[str]:
             resolved = (doc.parent / path_part).resolve()
             if not resolved.exists():
                 problems.append(f"{doc.relative_to(root)}: {target}")
+        for span in CODE_SPAN.findall(FENCED.sub("", text)):
+            for word in span.split():
+                match = REPO_PATH.match(word)
+                if match is None or NOT_ONE_FILE.search(word):
+                    continue
+                path = match.group().rstrip(".,;)")
+                if not (root / path).exists():
+                    problems.append(f"{doc.relative_to(root)}: `{path}`")
     return problems
 
 
