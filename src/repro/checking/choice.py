@@ -50,16 +50,11 @@ def message_key(message: Any) -> MessageKey:
 
 
 class BaseChooser:
-    """Shared choice-point detection and task tracking for choosers."""
+    """Shared choice-point detection for choosers."""
 
     _deliver_cb: Any = None
 
     def __init__(self) -> None:
-        #: Tasks created while this chooser was installed: fingerprint
-        #: input, and closed by the harness when an execution is
-        #: discarded (a never-started ``_round_loop`` coroutine would
-        #: otherwise warn at garbage collection).
-        self.tasks: list[Any] = []
         self.frame: Any = None
         #: Whether the model's channels are FIFO: only per-channel head
         #: deliveries are enabled transitions then.
@@ -69,8 +64,10 @@ class BaseChooser:
         """Receive the runtime frame the harness built for this run."""
         self.frame = frame
 
-    def on_task(self, task: Any) -> None:
-        self.tasks.append(task)
+    @property
+    def tasks(self) -> list[Any]:
+        """The attached run's tasks, in creation order (fingerprint input)."""
+        return self.frame.sim._tasks
 
     def bind(self, network: "Network") -> None:
         """Anchor choice detection to ``network``'s delivery callback."""

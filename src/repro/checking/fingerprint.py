@@ -262,7 +262,7 @@ def state_tokens(
     of two pending messages on the same channel is part of the state
     (it fixes which is deliverable), so states differing only there must
     not fingerprint equal.  ``tasks`` are the coroutines created this
-    run (the chooser's ``on_task`` feed); ``extra_stacks`` are
+    run (the simulator's task list); ``extra_stacks`` are
     additional protocol objects to walk (untracked adversary stacks).
     """
     from .choice import message_key

@@ -16,7 +16,6 @@ corrupted, and the kernel is discarded with the frame.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -108,13 +107,8 @@ def execute_run(
     try:
         return _drive(config, chooser, frame, max_steps)
     finally:
-        # An aborted execution leaves tasks whose coroutines never ran a
-        # single step; close them so the discarded frame is GC'd without
-        # "coroutine was never awaited" warnings.
-        for task in getattr(chooser, "tasks", ()):
-            coro = task._coro
-            if inspect.getcoroutinestate(coro) == "CORO_CREATED":
-                coro.close()
+        # An aborted execution leaves tasks that never ran a single step.
+        frame.sim._close_unstarted_tasks()
 
 
 def _drive(

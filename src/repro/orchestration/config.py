@@ -113,6 +113,10 @@ class RunConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if not 0 <= self.k <= self.t:
             raise ConfigurationError(f"k must be in 0..t, got {self.k}")
+        for budget in ("max_time", "max_events"):
+            value = getattr(self, budget)
+            if value < 0:
+                raise ConfigurationError(f"{budget} must be >= 0, got {value}")
         if self.variant == "standard" and self.m is None:
             # Derive m from the profile and fail fast if infeasible.
             self.m = max(1, len(set(self.proposals.values())))

@@ -371,6 +371,8 @@ def run_consensus(
         )
     except (DeadlineExceeded, DeadlockError):
         timed_out = True
+        # A budget can trip before a task took its first step.
+        sim._close_unstarted_tasks()
 
     decisions = {
         pid: consensus.decision.result()
@@ -481,6 +483,7 @@ def run_randomized(
         sim.run_until_complete(all_decided, max_time=max_time, max_events=max_events)
     except (DeadlineExceeded, DeadlockError):
         timed_out = True
+        sim._close_unstarted_tasks()
     decisions = {
         pid: inst.decision.result()
         for pid, inst in instances.items()

@@ -10,9 +10,11 @@ __all__ = ["EventHandle"]
 class EventHandle:
     """A callback scheduled at a virtual-time instant.
 
-    Handles are ordered by ``(time, seq)`` where ``seq`` is a global
-    scheduling sequence number; this makes event execution order fully
-    deterministic (FIFO among events scheduled for the same instant).
+    The scheduler runs events in ``(time, seq)`` order, where ``seq`` is
+    a global scheduling sequence number; this makes event execution order
+    fully deterministic (FIFO among events scheduled for the same
+    instant).  The order lives in the scheduler's queues, not in the
+    class: handles do not compare.
 
     The scheduler keeps same-instant handles in a FIFO ready queue and
     future handles in a heap; ``_loop`` points back at the simulator
@@ -76,11 +78,6 @@ class EventHandle:
     def _run(self) -> None:
         """Execute the callback (simulator internal)."""
         self._callback(*self._args)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"

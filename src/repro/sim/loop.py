@@ -27,6 +27,7 @@ without ever paying O(n) per cancel.
 from __future__ import annotations
 
 import heapq
+import inspect
 from collections import deque
 from typing import Any, Callable, Coroutine
 
@@ -43,6 +44,16 @@ __all__ = ["Simulator"]
 #: Compact the heap only when it holds at least this many tombstones
 #: (and they outnumber the live entries) — small heaps never bother.
 _MIN_HEAP_COMPACTION = 64
+
+#: Why :meth:`Simulator._drive` returned.
+_STOP_FUTURE = "future done"
+_STOP_DRAINED = "queue drained"
+_STOP_TIME = "time limit"
+_STOP_EVENTS = "max_events"
+
+#: Never resolves: what :meth:`Simulator.run` waits for, so only the
+#: queue or a budget stops it.
+_NEVER = Future(name="never")
 
 
 class Simulator:
@@ -83,13 +94,15 @@ class Simulator:
         self.events_processed = 0
         #: Schedule chooser (exhaustive checking): when set, ready-tier
         #: pops go through :meth:`_pop_next_chosen` so delivery order
-        #: becomes an explicit choice instead of FIFO.  ``None`` (the
-        #: default) keeps every hot path untouched.
+        #: becomes an explicit choice instead of FIFO.
         self._chooser: Any | None = None
         #: Chooser mode only: ready handles already classified as choice
         #: events, in ready order, waiting for the chooser's pick.  Every
         #: entry precedes (lower seq) everything still in ``_ready``.
         self._choices: list[EventHandle] = []
+        #: Every task :meth:`create_task` made, in creation order (the
+        #: checker fingerprints their coroutine stacks).
+        self._tasks: list[Task] = []
 
     # ------------------------------------------------------------------
     # Time and scheduling
@@ -218,9 +231,8 @@ class Simulator:
         """Drop every tombstone from the heap in one O(n) pass.
 
         In place (slice assignment), never rebinding ``self._heap``:
-        the ``run_until_complete`` hot loop holds a local alias, and a
-        rebound list would silently strand events scheduled after a
-        mid-run compaction.
+        :meth:`_drive` holds a local alias, and a rebound list would
+        silently strand events scheduled after a mid-run compaction.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2]._cancelled]
@@ -235,12 +247,21 @@ class Simulator:
     ) -> Task:
         """Wrap ``coro`` in a :class:`~repro.sim.tasks.Task` and schedule it."""
         task = Task(coro, self, name=name)
-        chooser = self._chooser
-        if chooser is not None:
-            on_task = getattr(chooser, "on_task", None)
-            if on_task is not None:
-                on_task(task)
+        self._tasks.append(task)
         return task
+
+    def _close_unstarted_tasks(self) -> None:
+        """Close every coroutine that never took its first step.
+
+        For the owner of a run it is abandoning mid-flight (a tripped
+        budget, an aborted exploration): a task created just before the
+        stop still has its first step queued, and its coroutine would
+        warn "never awaited" when the discarded run is collected.
+        """
+        for task in self._tasks:
+            coro = task._coro
+            if inspect.getcoroutinestate(coro) == inspect.CORO_CREATED:
+                coro.close()
 
     def sleep(self, delay: float) -> Future:
         """Return a future that resolves ``delay`` time units from now."""
@@ -300,9 +321,7 @@ class Simulator:
         * ``choose(candidates) -> int``: pick the next handle when every
           live ready handle is a choice (called even for singletons;
           choosers treat a lone candidate as a forced move that consumes
-          no schedule index);
-        * optionally ``on_task(task)``: observe task creation (the
-          checker fingerprints coroutine stacks).
+          no schedule index).
 
         With a chooser installed, the ready tier drains fully before any
         heap entry runs — heap timers fire only at ready-quiescence.
@@ -310,10 +329,12 @@ class Simulator:
         outrun positive-delay timers, which is exactly how the sampling
         stack behaves for instant deliveries.
 
-        Choice events already set aside for the previous chooser go back
-        to the front of the ready tier (they precede everything in it),
-        so a new chooser reclassifies them and ``None`` resumes plain
-        FIFO order.
+        The loop reads the chooser before every event, so installing or
+        clearing one from inside a callback takes effect at the next
+        event.  Choice events already set aside for the previous chooser
+        go back to the front of the ready tier (they precede everything
+        in it), so a new chooser reclassifies them and ``None`` resumes
+        plain FIFO order.
         """
         choices = self._choices
         if choices:
@@ -408,6 +429,115 @@ class Simulator:
             self._heap_cancelled -= 1
         return heap[0][0] if heap else None
 
+    def _drive(
+        self,
+        future: Future,
+        time_limit: float | None,
+        max_events: int | None,
+    ) -> str:
+        """The event loop behind :meth:`run` and :meth:`run_until_complete`:
+        run events until ``future`` completes, the queue drains or a
+        budget trips, and return which (a ``_STOP_*`` constant) — the
+        caller turns the reason into its own contract: return, advance
+        the clock, or raise.
+
+        This is the sweep engine's innermost loop, so everything an
+        event costs is inlined: the two-tier peek (tombstone skim,
+        ``(time, seq)`` merge), the budget checks — made against the
+        *peeked* event, which stays queued when one trips — the pop, the
+        callback and the pooled-handle release.  :meth:`step` is the
+        same for one event, spelled with method calls (docs/kernel.md
+        has the measurement that kept it apart).
+
+        The chooser is read per event.  With one installed the peek is
+        :meth:`peek_time` and the pop :meth:`_pop_next_chosen`, which
+        turns to the heap only at ready-quiescence (the check-mode
+        contract; exploration rates dominate the two calls).
+        """
+        executed = 0
+        ready = self._ready
+        heap = self._heap
+        clock = self._clock
+        probe = self._step_probe
+        heappop = heapq.heappop
+        handle_pool = self.pools.handles
+        # ``while True`` on purpose: CPython 3.11 specializes a function's
+        # bytecode once its calls plus *unconditional* backward jumps
+        # reach eight, and ``while <condition>`` jumps back conditionally
+        # — this loop, entered once per run, would stay unspecialized
+        # for a process's first seven runs.
+        while True:
+            if future._state is not _PENDING:
+                return _STOP_FUTURE
+            chooser = self._chooser
+            # -- peek (skimming tombstones) --------------------------------
+            if chooser is None:
+                while ready and ready[0]._cancelled:
+                    ready.popleft()
+                while heap and heap[0][2]._cancelled:
+                    # Mass cancellation (a protocol dropping its round
+                    # timers) surfaces here as a tombstone-dominated heap:
+                    # one O(n) compaction beats popping them one by one.
+                    cancelled = self._heap_cancelled
+                    if cancelled > _MIN_HEAP_COMPACTION and cancelled * 2 > len(heap):
+                        self._compact_heap()
+                        break
+                    heappop(heap)
+                    self._heap_cancelled -= 1
+                if ready:
+                    # Ready events sit at the current instant; a heap entry
+                    # can only precede them when it was scheduled for this
+                    # same instant earlier (lower seq) — merge by (time, seq).
+                    first = ready[0]
+                    from_heap = heap and (
+                        heap[0][0] < first.time
+                        or (heap[0][0] == first.time and heap[0][1] < first.seq)
+                    )
+                    next_time = heap[0][0] if from_heap else first.time
+                elif heap:
+                    from_heap = True
+                    next_time = heap[0][0]
+                else:
+                    return _STOP_DRAINED
+            else:
+                next_time = self.peek_time()
+                if next_time is None:
+                    return _STOP_DRAINED
+                from_heap = False  # the chooser-mode pop decides
+            # -- budgets (checked before the event is dequeued) ------------
+            if time_limit is not None and next_time > time_limit:
+                return _STOP_TIME
+            if max_events is not None and executed >= max_events:
+                return _STOP_EVENTS
+            # -- pop + run -------------------------------------------------
+            if from_heap:
+                handle = heappop(heap)[2]
+                handle._loop = None
+                if next_time != clock._now:
+                    clock._now = next_time  # monotone by heap order
+            elif chooser is None:
+                handle = ready.popleft()
+            else:
+                handle = self._pop_next_chosen()
+            self.events_processed += 1
+            executed += 1
+            emit = probe.emit
+            if emit is not None:
+                emit(handle)
+            handle._run()
+            if handle._pooled:
+                # Retire into the freelist, clearing the callback (and
+                # the argument slot's payload) so retired handles never
+                # pin protocol objects between reuses.
+                handle._callback = _noop_release
+                args = handle._args
+                if type(args) is list:
+                    args[0] = None
+                else:
+                    handle._args = ()
+                if len(handle_pool) < MAX_POOL:
+                    handle_pool.append(handle)
+
     def run(
         self,
         until: float | None = None,
@@ -418,84 +548,13 @@ class Simulator:
         ``until`` bounds virtual time (events after it stay queued and the
         clock advances to ``until``); ``max_events`` bounds the number of
         events executed and raises :class:`DeadlineExceeded` when hit.
-
-        Like :meth:`run_until_complete`, the two-tier pop is inlined:
-        this is the loop the benchmark's traced kernel rungs (and any
-        protocol driven to quiescence rather than to a future) spend their
-        time in, and going through ``peek_time()`` + ``step()`` per event
-        paid the tombstone skim and the tier merge twice.  Budget
-        checks still run against the *peeked* next event, which stays
-        queued when a budget trips — observable behaviour (event order,
-        clock advance, error text) is unchanged.
         """
-        if self._chooser is not None:
-            return self._run_chosen(until, max_events)
-        executed = 0
-        ready = self._ready
-        heap = self._heap
-        clock = self._clock
-        probe = self._step_probe
-        heappop = heapq.heappop
-        handle_pool = self.pools.handles
-        while True:
-            # -- peek (skimming tombstones) --------------------------------
-            while ready and ready[0]._cancelled:
-                ready.popleft()
-            while heap and heap[0][2]._cancelled:
-                # Mass cancellation (a protocol dropping its round
-                # timers) surfaces here as a tombstone-dominated heap:
-                # one O(n) compaction beats popping them one by one.
-                cancelled = self._heap_cancelled
-                if cancelled > _MIN_HEAP_COMPACTION and cancelled * 2 > len(heap):
-                    self._compact_heap()
-                    break
-                heappop(heap)
-                self._heap_cancelled -= 1
-            if ready:
-                first = ready[0]
-                from_heap = heap and (
-                    heap[0][0] < first.time
-                    or (heap[0][0] == first.time and heap[0][1] < first.seq)
-                )
-                next_time = heap[0][0] if from_heap else first.time
-            elif heap:
-                from_heap = True
-                next_time = heap[0][0]
-            else:
-                break
-            # -- budgets (checked before the event is dequeued) ------------
-            if until is not None and next_time > until:
-                self._clock.advance_to(until)
-                return
-            if max_events is not None and executed >= max_events:
-                raise DeadlineExceeded(
-                    f"run() exceeded max_events={max_events} at t={self.now}"
-                )
-            # -- pop + run -------------------------------------------------
-            if from_heap:
-                handle = heappop(heap)[2]
-                handle._loop = None
-                if next_time != clock._now:
-                    clock._now = next_time  # monotone by heap order
-            else:
-                handle = ready.popleft()
-            self.events_processed += 1
-            executed += 1
-            emit = probe.emit
-            if emit is not None:
-                emit(handle)
-            handle._run()
-            if handle._pooled:
-                # Retire into the freelist (inlined _release_handle).
-                handle._callback = _noop_release
-                args = handle._args
-                if type(args) is list:
-                    args[0] = None
-                else:
-                    handle._args = ()
-                if len(handle_pool) < MAX_POOL:
-                    handle_pool.append(handle)
-        if until is not None and until > self._clock._now:
+        stop = self._drive(_NEVER, until, max_events)
+        if stop is _STOP_EVENTS:
+            raise DeadlineExceeded(
+                f"run() exceeded max_events={max_events} at t={self.now}"
+            )
+        if stop is _STOP_TIME or (until is not None and until > self._clock._now):
             self._clock.advance_to(until)
 
     def run_until_complete(
@@ -509,135 +568,23 @@ class Simulator:
         Raises :class:`DeadlockError` if the event queue drains first, and
         :class:`DeadlineExceeded` if ``max_time`` (virtual) or
         ``max_events`` would be exceeded.
-
-        This is the sweep engine's innermost loop, so the two-tier pop is
-        inlined here: budget checks run against the *peeked* next event,
-        which stays queued if a budget trips (exactly the pre-refactor
-        contract).
         """
-        if self._chooser is not None:
-            return self._run_until_complete_chosen(future, max_time, max_events)
-        executed = 0
-        ready = self._ready
-        heap = self._heap
-        clock = self._clock
-        probe = self._step_probe
-        heappop = heapq.heappop
-        handle_pool = self.pools.handles
-        while future._state is _PENDING:
-            # -- peek (skimming tombstones) --------------------------------
-            while ready and ready[0]._cancelled:
-                ready.popleft()
-            while heap and heap[0][2]._cancelled:
-                cancelled = self._heap_cancelled
-                if cancelled > _MIN_HEAP_COMPACTION and cancelled * 2 > len(heap):
-                    self._compact_heap()
-                    break
-                heappop(heap)
-                self._heap_cancelled -= 1
-            if ready:
-                first = ready[0]
-                from_heap = heap and (
-                    heap[0][0] < first.time
-                    or (heap[0][0] == first.time and heap[0][1] < first.seq)
-                )
-                next_time = heap[0][0] if from_heap else first.time
-            elif heap:
-                from_heap = True
-                next_time = heap[0][0]
-            else:
-                raise DeadlockError(
-                    f"event queue drained at t={self.now} while waiting for "
-                    f"{future!r}"
-                )
-            # -- budgets (checked before the event is dequeued) ------------
-            if max_time is not None and next_time > max_time:
-                raise DeadlineExceeded(
-                    f"virtual deadline {max_time} reached while waiting for "
-                    f"{future!r}"
-                )
-            if max_events is not None and executed >= max_events:
-                raise DeadlineExceeded(
-                    f"event budget {max_events} exhausted while waiting for "
-                    f"{future!r}"
-                )
-            # -- pop + run -------------------------------------------------
-            if from_heap:
-                handle = heappop(heap)[2]
-                handle._loop = None
-                if next_time != clock._now:
-                    clock._now = next_time  # monotone by heap order
-            else:
-                handle = ready.popleft()
-            self.events_processed += 1
-            executed += 1
-            emit = probe.emit
-            if emit is not None:
-                emit(handle)
-            handle._run()
-            if handle._pooled:
-                # Retire into the freelist (inlined _release_handle).
-                handle._callback = _noop_release
-                args = handle._args
-                if type(args) is list:
-                    args[0] = None
-                else:
-                    handle._args = ()
-                if len(handle_pool) < MAX_POOL:
-                    handle_pool.append(handle)
-        return future.result()
-
-    def _run_chosen(
-        self, until: float | None, max_events: int | None
-    ) -> None:
-        """Chooser-mode :meth:`run`: per-event ``step()`` so every pop
-        routes through the chooser (exploration rates dominate the loop
-        overhead, so nothing is inlined here)."""
-        executed = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._clock.advance_to(until)
-                return
-            if max_events is not None and executed >= max_events:
-                raise DeadlineExceeded(
-                    f"run() exceeded max_events={max_events} at t={self.now}"
-                )
-            self.step()
-            executed += 1
-        if until is not None and until > self._clock._now:
-            self._clock.advance_to(until)
-
-    def _run_until_complete_chosen(
-        self,
-        future: Future,
-        max_time: float | None,
-        max_events: int | None,
-    ) -> Any:
-        """Chooser-mode :meth:`run_until_complete` (same budget contract,
-        same error texts, per-event ``step()`` for the chooser)."""
-        executed = 0
-        while future._state is _PENDING:
-            next_time = self.peek_time()
-            if next_time is None:
-                raise DeadlockError(
-                    f"event queue drained at t={self.now} while waiting for "
-                    f"{future!r}"
-                )
-            if max_time is not None and next_time > max_time:
-                raise DeadlineExceeded(
-                    f"virtual deadline {max_time} reached while waiting for "
-                    f"{future!r}"
-                )
-            if max_events is not None and executed >= max_events:
-                raise DeadlineExceeded(
-                    f"event budget {max_events} exhausted while waiting for "
-                    f"{future!r}"
-                )
-            self.step()
-            executed += 1
+        stop = self._drive(future, max_time, max_events)
+        if stop is _STOP_DRAINED:
+            raise DeadlockError(
+                f"event queue drained at t={self.now} while waiting for "
+                f"{future!r}"
+            )
+        if stop is _STOP_TIME:
+            raise DeadlineExceeded(
+                f"virtual deadline {max_time} reached while waiting for "
+                f"{future!r}"
+            )
+        if stop is _STOP_EVENTS:
+            raise DeadlineExceeded(
+                f"event budget {max_events} exhausted while waiting for "
+                f"{future!r}"
+            )
         return future.result()
 
     @property

@@ -16,7 +16,7 @@ protocol logic does.
   the simulator's pooled scheduling entry points
   (:meth:`~repro.sim.loop.Simulator.schedule_delivery`,
   :meth:`~repro.sim.loop.Simulator.call_soon_pooled`) and released by
-  the run loops right after the callback returns;
+  the event loop (``Simulator._drive``) right after the callback returns;
 * **message freelist** — retired network messages, recycled by
   :class:`~repro.net.network.Network` when it runs in ``recycle`` mode
   (release happens after the delivery handler returns, and *never* for

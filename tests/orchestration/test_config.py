@@ -40,6 +40,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RunConfig(n=4, t=1, proposals={1: "v", 2: "v", 3: "v", 4: "v"}, k=2)
 
+    @pytest.mark.parametrize("budget", ["max_time", "max_events"])
+    def test_negative_budgets_refused(self, budget):
+        proposals = {1: "v", 2: "v", 3: "v", 4: "v"}
+        with pytest.raises(ConfigurationError, match=budget):
+            RunConfig(n=4, t=1, proposals=proposals, **{budget: -1})
+        # Zero is "run nothing", not an error.
+        assert getattr(RunConfig(n=4, t=1, proposals=proposals, **{budget: 0}),
+                       budget) == 0
+
     def test_m_derived_from_proposals(self):
         config = RunConfig(n=4, t=1, proposals={1: "a", 2: "b", 3: "a"},
                            adversaries={4: crash()})

@@ -1,5 +1,8 @@
 """Unit tests for the experiment runner."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro import RunConfig, run_consensus
@@ -91,3 +94,26 @@ class TestResultSurface:
                       adversaries={4: crash()}, seed=1, max_events=50)
         )
         assert result.timed_out
+
+    def test_abandoned_runs_leak_no_unstarted_coroutine(self):
+        # A run can stop between a create_task and that task's first
+        # step: on an event budget, on the checker's step ceiling, on a
+        # chooser's abort.  Whoever abandons it closes those coroutines.
+        from repro.checking.choice import ScheduleChooser
+        from repro.checking.harness import RunAbort, execute_run
+        from repro.orchestration.matrix import ScenarioMatrix, run_scenario
+
+        class AbortAtFirstChoice(ScheduleChooser):
+            def choose(self, candidates):
+                raise RunAbort("probe")
+
+        [spec] = ScenarioMatrix(sizes=[(4, 1)], max_events=2).expand()
+        model = RunConfig(n=2, t=0, proposals={1: "a", 2: "a"}, max_rounds=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = run_scenario(spec)
+            assert outcome.timed_out and outcome.events_processed == 2
+            assert execute_run(model, ScheduleChooser(()), max_steps=1).status == "steps"
+            assert execute_run(model, AbortAtFirstChoice(())).status == "probe"
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -9,12 +9,18 @@ sometimes aborts, and optionally a mid-run ``set_chooser(None)``.  Both
 simulators must execute the same events in the same order, show the
 chooser the same candidate lists, and report the same ``peek_time`` /
 ``pending_events`` before every step.
+
+``drive()`` is also the harness of ``test_loop_differential.py``, which
+runs the same programs through every entry point of the event loop
+(``step`` / ``run`` / ``run_until_complete``, budgets included) against
+the loops ``Simulator._drive`` replaced.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Simulator
+from repro.errors import SimulationError
+from repro.sim import Future, Simulator
 from tests.sim.reference_chooser_pop import ReferenceChooserSimulator
 
 #: How a generated event is scheduled.  ``cross*`` are choice events
@@ -51,7 +57,9 @@ class World:
         self.spawned = 0
         self.owned = []      # caller-owned handles, in spawn order
         self.executed = []   # event idents, in execution order
+        self.clock = []      # (now, events_processed) seen by each event
         self.shown = []      # candidate idents of every choose() call
+        self.at = {}         # executed-count -> actions run by that event
         self._deliver_cb = self.deliver
 
     # -- chooser protocol ----------------------------------------------
@@ -96,6 +104,9 @@ class World:
 
     def fire(self, ident, spec):
         self.executed.append(ident)
+        self.clock.append((self.sim.now, self.sim.events_processed))
+        for action in self.at.pop(len(self.executed), ()):
+            action()
         _kind, _delay, cancels, children = spec
         for target in cancels:
             if self.owned:
@@ -107,28 +118,84 @@ class World:
         self.fire(message.ident, message.spec)
 
 
-def drive(sim_cls, program, picks, aborts, clear_at):
+def drive(sim_cls, program, picks, aborts, clear_at, entry="step",
+          chooser=True, limits=(None, None), resolve_at=None, doomed=(0, 0)):
+    """Run ``program`` on a ``sim_cls()`` through ``entry`` and return
+    everything observable about the run.
+
+    ``limits`` is ``(until | max_time, max_events)``.  ``resolve_at``
+    completes the awaited future from inside that event (``None``: never,
+    so ``run_until_complete`` stops on the queue or a budget).
+    ``doomed = (count, at)`` adds ``count`` timers that event ``at``
+    cancels in one go (0: before the run) — above the heap-compaction
+    floor when ``count`` is.  With ``entry != "step"`` the chooser is
+    cleared from *inside* event ``clear_at``, mid-run.
+    """
     world = World(sim_cls(), picks, aborts)
     sim = world.sim
-    sim.set_chooser(world)
+    if chooser:
+        sim.set_chooser(world)
     for spec in program:
         world.spawn(spec)
+    count, cancel_at = doomed
+    for index in range(count):
+        world.spawn(("timer", 4 + index % 3, [], []))
+    goal = Future(name="goal")
+    actions = [(cancel_at, handle.cancel)
+               for handle in world.owned[len(world.owned) - count:]]
+    if resolve_at is not None:
+        actions.append((resolve_at, lambda: goal.set_result("reached")))
+    if entry != "step" and chooser and clear_at is not None:
+        actions.append((clear_at, lambda: sim.set_chooser(None)))
+    for when, action in actions:
+        world.at.setdefault(when, []).append(action)
+    for action in world.at.pop(0, ()):
+        action()
+
     trace = []
-    steps = 0
-    while True:
-        if steps == clear_at:
-            sim.set_chooser(None)
-            trace.append(("cleared", sim.peek_time(), sim.pending_events))
-            sim.run()
-            break
-        trace.append((sim.peek_time(), sim.pending_events))
-        try:
-            if not sim.step():
+
+    def state():
+        pools = sim.pools
+        return (sim.now, sim.events_processed, sim.pending_events,
+                sim.peek_time(), pools.handles_created, pools.handles_reused)
+
+    def call(run):
+        """``run()`` until it returns or raises something other than a
+        chooser abort (every abort leaves the event queued, and a
+        scripted chooser aborts finitely often)."""
+        while True:
+            try:
+                trace.append(("returned", run()))
+                return
+            except Abort:
+                trace.append("abort")
+            except SimulationError as error:
+                trace.append((type(error).__name__, str(error)))
+                return
+
+    if entry == "step":
+        steps = 0
+        while True:
+            if steps == clear_at and chooser:
+                sim.set_chooser(None)
+                trace.append(("cleared", sim.peek_time(), sim.pending_events))
+                sim.run()
                 break
-        except Abort:
-            trace.append("abort")
-        steps += 1
-    return world.executed, world.shown, trace, sim.now
+            trace.append((sim.peek_time(), sim.pending_events))
+            try:
+                if not sim.step():
+                    break
+            except Abort:
+                trace.append("abort")
+            steps += 1
+    elif entry == "run":
+        call(lambda: sim.run(*limits))
+    else:
+        call(lambda: sim.run_until_complete(goal, *limits))
+    stopped = (state(), list(world.executed))
+    # Whatever a budget left queued is still there, in order.
+    call(sim.run)
+    return (world.executed, world.clock, world.shown, trace, stopped, state())
 
 
 def _specs(children):

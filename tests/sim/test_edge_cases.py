@@ -22,10 +22,19 @@ class TestHandleEdgeCases:
         assert handle._args == ()
 
     def test_handle_ordering(self):
-        a = EventHandle(1.0, 0, lambda: None)
-        b = EventHandle(1.0, 1, lambda: None)
-        c = EventHandle(0.5, 2, lambda: None)
-        assert c < a < b
+        # (time, seq) order is the scheduler's, not the class's: heap
+        # entries are (time, seq, handle) tuples with unique seq, so
+        # handles themselves never compare.
+        sim = Simulator()
+        order = []
+        a = sim.call_at(1.0, order.append, "a")
+        b = sim.call_at(1.0, order.append, "b")
+        c = sim.call_at(0.5, order.append, "c")
+        assert (a.seq, b.seq, c.seq) == (0, 1, 2)
+        sim.run()
+        assert order == ["c", "a", "b"]
+        with pytest.raises(TypeError):
+            a < b
 
     def test_repr_states(self):
         handle = EventHandle(1.0, 0, lambda: None)
