@@ -385,7 +385,12 @@ class Explorer:
         violations: tuple[str, ...] = ()
         minimized = False
         minimize_replays = 0
-        while self.stack or self.roots:
+        # ``while True`` on purpose (docs/kernel.md, specialization
+        # audit): a process calls this once, and CPython 3.11 would run
+        # a ``while <condition>`` loop unspecialized until the 8th call.
+        while True:
+            if not (self.stack or self.roots):
+                break
             if (
                 self.max_executions is not None
                 and stats.executions >= self.max_executions

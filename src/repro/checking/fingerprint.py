@@ -283,11 +283,11 @@ def state_tokens(
         out.extend(sorted(repr(message_key(h._args[0])) for h in candidates))
     deliver_cb = frame.network._deliver_cb
     timers = []
-    for time, _seq, handle in frame.sim._heap:
-        if handle._cancelled or handle._callback is deliver_cb:
+    for time, callback, args in frame.sim._scheduled():
+        if callback is deliver_cb:
             continue
-        qualname = getattr(handle._callback, "__qualname__", "?")
-        args = ",".join(canon(a) or type(a).__name__ for a in handle._args)
+        qualname = getattr(callback, "__qualname__", "?")
+        args = ",".join(canon(a) or type(a).__name__ for a in args)
         timers.append(f"timer:{time!r}:{qualname}({args})")
     out.extend(sorted(timers))
     seen: set[int] = set()

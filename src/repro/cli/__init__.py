@@ -70,7 +70,9 @@ Commands:
 Every command is deterministic given ``--seed`` (sweeps derive one child
 seed per scenario, so results are independent of worker count and
 scheduling) and prints plain text; ``run --json`` emits a
-machine-readable summary instead.
+machine-readable summary instead.  A configuration the model rejects
+(:class:`~repro.errors.ConfigurationError`) ends any command with
+``repro: error: <message>`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -144,5 +146,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     # word is the command: only its module is imported.
     named = [arg for arg in argv if not arg.startswith("-")][:1]
     args = build_parser(named).parse_args(argv)
-    return args.handler(args)
+    # Imported once a command is going to run (every one of them loads
+    # it anyway): ``--help`` and ``--version`` exit above, having
+    # imported nothing.
+    from ..errors import ConfigurationError
+
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        # A configuration the model rejects (n <= 3t, k > t, ...) is the
+        # caller's input, not a crash: one line, argparse's exit code.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 

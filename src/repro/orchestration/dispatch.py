@@ -689,7 +689,12 @@ def run_claims(
 
         transport = SpecTransport.from_matrix(plan.matrix)
     executed: list[ShardUnit] = []
-    while max_units is None or len(executed) < max_units:
+    # ``while True`` on purpose (docs/kernel.md, specialization audit): a
+    # claim process calls this once, and CPython 3.11 would run a
+    # ``while <condition>`` loop unspecialized until the 8th call.
+    while True:
+        if max_units is not None and len(executed) >= max_units:
+            break
         unit = plan.claim(worker)
         if unit is None:
             break

@@ -20,17 +20,19 @@ class EventHandle:
     future handles in a heap; ``_loop`` points back at the simulator
     only while the handle sits in the *heap*, so that :meth:`cancel`
     can feed the scheduler's lazy-compaction accounting without the
-    ready fast path paying for it.
+    ready fast path paying for it.  (A future message delivery is a
+    heap entry with no handle; see :mod:`repro.sim.loop`.)
 
     ``_pooled`` marks handles owned by the scheduler's freelist
     (:mod:`repro.sim.pool`): they are created only by the simulator's
-    internal scheduling entry points, never escape the kernel, and are
-    re-armed in place after their callback runs.  Handles returned by
-    the public ``call_soon``/``call_at``/``call_later`` API are never
-    pooled — callers may hold and :meth:`cancel` them at any time.  A
-    pooled handle's ``_args`` may be a reusable single-slot *list*
-    (the preallocated argument slot of the delivery fast path) instead
-    of a tuple; ``_run`` unpacks either.
+    internal scheduling entry points, always on the ready tier, never
+    escape the kernel, and are re-armed in place after their callback
+    runs.  Handles returned by the public
+    ``call_soon``/``call_at``/``call_later`` API are never pooled —
+    callers may hold and :meth:`cancel` them at any time.  A pooled
+    handle's ``_args`` may be a reusable single-slot *list* (the
+    preallocated argument slot of a same-instant delivery) instead of a
+    tuple; ``_run`` unpacks either.
     """
 
     __slots__ = (

@@ -11,11 +11,21 @@ dominated by cascades of *same-instant* events — task steps, predicate
 rechecks, zero-delay callbacks.  Those go through a FIFO ready deque
 (:meth:`call_soon`, and any :meth:`call_at` for the current instant) at
 O(1) per event; only genuinely future events (timers, message
-deliveries) pay the heap's O(log n), and heap entries are
-``(time, seq, handle)`` tuples so even those comparisons run in C.  The
-two tiers are merged by ``(time, seq)`` at execution, so the observable
-order is *identical* to a single global priority queue — golden-trace
-fixtures (``tests/golden/``) pin this bit for bit.
+deliveries) pay the heap's O(log n), and heap entries are tuples led by
+``(time, seq)`` so even those comparisons run in C.  The two tiers are
+merged by ``(time, seq)`` at execution, so the observable order is
+*identical* to a single global priority queue — golden-trace fixtures
+(``tests/golden/``) pin this bit for bit.
+
+The heap holds two entry shapes.  ``(time, seq, handle)`` is a timer or
+any other :meth:`~Simulator.call_at` event: the handle is the caller's,
+cancellable, and the only thing ``_cancelled`` / ``_loop`` are ever read
+from.  ``(time, seq, arg, callback)`` is a *delivery entry*
+(:meth:`~Simulator.schedule_delivery` for a future instant): nobody
+holds it, so it cannot be cancelled, it is always live, and the loop
+runs it as ``callback(arg)`` with no handle in between — one tuple per
+in-flight message instead of a tuple, a handle and an argument slot.
+Everything that walks the heap tells the two apart by length.
 
 Cancelled events are removed lazily: cancellation just flags the handle
 (and, for heap entries, bumps a counter), tombstones are skipped when
@@ -29,7 +39,7 @@ from __future__ import annotations
 import heapq
 import inspect
 from collections import deque
-from typing import Any, Callable, Coroutine
+from typing import Any, Callable, Coroutine, Iterator
 
 from ..errors import DeadlineExceeded, DeadlockError, SimulationError
 from ..instrumentation import SIM_STEP, InstrumentationBus
@@ -78,8 +88,10 @@ class Simulator:
         pools: ObjectPools | None = None,
     ) -> None:
         self._clock = VirtualClock(start_time)
-        #: Future events: ``(time, seq, handle)`` tuples (C-compared).
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        #: Future events, C-compared on ``(time, seq)``: ``(time, seq,
+        #: handle)``, or ``(time, seq, arg, callback)`` for a delivery
+        #: entry (see the module docstring).
+        self._heap: list[tuple] = []
         #: Same-instant events, FIFO (the fast tier).
         self._ready: deque[EventHandle] = deque()
         self._next_seq = 0
@@ -156,25 +168,31 @@ class Simulator:
     # ------------------------------------------------------------------
     # Pooled scheduling (kernel-internal fast paths)
     # ------------------------------------------------------------------
-    # The two entry points below return nothing and recycle their
-    # handles through ``self.pools`` right after the callback runs.
-    # They are safe only because their handles never escape the kernel:
-    # nobody can hold one, so nobody can cancel one after reuse.  Public
-    # scheduling stays on call_soon/call_at, which allocate caller-owned
-    # handles.
+    # The two entry points below return nothing, so what they queue
+    # never escapes the kernel: nobody can hold it, so nobody can cancel
+    # it.  That is what lets a same-instant event ride a handle recycled
+    # through ``self.pools`` right after its callback runs, and a future
+    # delivery ride the heap with no handle at all.  Public scheduling
+    # stays on call_soon/call_at, which allocate caller-owned handles.
 
     def schedule_delivery(
         self, time: float, callback: Callable[..., Any], arg: Any
     ) -> None:
-        """Schedule ``callback(arg)`` on a recycled single-arg handle.
+        """Schedule ``callback(arg)`` at ``time``, uncancellably.
 
         The network's delivery path: ``time`` must already be clamped to
-        ``>= now`` (channels guarantee it), and the handle's argument
-        travels in a reusable one-slot list — the preallocated argument
-        slot that replaces the per-delivery ``(message,)`` tuple.
+        ``>= now`` (channels guarantee it).  A future delivery is pushed
+        as the heap entry ``(time, seq, arg, callback)`` and run straight
+        from it.  A same-instant one (check mode's instant channels)
+        takes a recycled handle on the ready tier, where choosers
+        classify it by ``_callback`` / ``_args[0]``; its argument
+        travels in the handle's reusable one-slot list.
         """
         seq = self._next_seq
         self._next_seq = seq + 1
+        if time != self._clock._now:
+            heapq.heappush(self._heap, (time, seq, arg, callback))
+            return
         pools = self.pools
         pool = pools.handles
         if pool:
@@ -193,12 +211,7 @@ class Simulator:
             pools.handles_created += 1
             handle = EventHandle(time, seq, callback, [arg])
             handle._pooled = True
-        if time == self._clock._now:
-            self._ready.append(handle)
-        else:
-            # No ``_loop`` backref: pooled handles are never cancelled,
-            # so they never feed the lazy-compaction accounting.
-            heapq.heappush(self._heap, (time, seq, handle))
+        self._ready.append(handle)
 
     def call_soon_pooled(
         self, callback: Callable[..., Any], args: tuple[Any, ...] = ()
@@ -235,7 +248,7 @@ class Simulator:
         silently strand events scheduled after a mid-run compaction.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
+        heap[:] = [entry for entry in heap if _live(entry)]
         heapq.heapify(heap)
         self._heap_cancelled = 0
 
@@ -275,13 +288,14 @@ class Simulator:
     # ------------------------------------------------------------------
     def _pop_next(self) -> EventHandle | None:
         """Remove and return the next live handle in (time, seq) order,
-        advancing the clock to it; ``None`` when both tiers are empty."""
+        advancing the clock to it; ``None`` when both tiers are empty.
+        A delivery entry comes back as a throw-away handle."""
         ready = self._ready
         heap = self._heap
         # Skim tombstones so the tier merge below compares live events.
         while ready and ready[0]._cancelled:
             ready.popleft()
-        while heap and heap[0][2]._cancelled:
+        while heap and len(heap[0]) == 3 and heap[0][2]._cancelled:
             heapq.heappop(heap)
             self._heap_cancelled -= 1
         if ready:
@@ -293,14 +307,10 @@ class Simulator:
                 heap[0][0] < first.time
                 or (heap[0][0] == first.time and heap[0][1] < first.seq)
             ):
-                handle = heapq.heappop(heap)[2]
-                handle._loop = None
-            else:
-                handle = ready.popleft()
-            return handle
+                return _detach(heapq.heappop(heap))
+            return ready.popleft()
         if heap:
-            handle = heapq.heappop(heap)[2]
-            handle._loop = None
+            handle = _detach(heapq.heappop(heap))
             # Monotone by heap order; bypass advance_to's backward check.
             self._clock._now = handle.time
             return handle
@@ -424,7 +434,7 @@ class Simulator:
             if not handle._cancelled:
                 return handle.time
         heap = self._heap
-        while heap and heap[0][2]._cancelled:
+        while heap and len(heap[0]) == 3 and heap[0][2]._cancelled:
             heapq.heappop(heap)
             self._heap_cancelled -= 1
         return heap[0][0] if heap else None
@@ -445,9 +455,11 @@ class Simulator:
         event costs is inlined: the two-tier peek (tombstone skim,
         ``(time, seq)`` merge), the budget checks — made against the
         *peeked* event, which stays queued when one trips — the pop, the
-        callback and the pooled-handle release.  :meth:`step` is the
-        same for one event, spelled with method calls (docs/kernel.md
-        has the measurement that kept it apart).
+        callback and the pooled-handle release.  A delivery entry is
+        told from a handle entry once, at the pop, and run as
+        ``callback(arg)`` — the only place one is executed.
+        :meth:`step` is the same for one event, spelled with method
+        calls (docs/kernel.md has the measurement that kept it apart).
 
         The chooser is read per event.  With one installed the peek is
         :meth:`peek_time` and the pop :meth:`_pop_next_chosen`, which
@@ -474,7 +486,7 @@ class Simulator:
             if chooser is None:
                 while ready and ready[0]._cancelled:
                     ready.popleft()
-                while heap and heap[0][2]._cancelled:
+                while heap and len(heap[0]) == 3 and heap[0][2]._cancelled:
                     # Mass cancellation (a protocol dropping its round
                     # timers) surfaces here as a tombstone-dominated heap:
                     # one O(n) compaction beats popping them one by one.
@@ -511,10 +523,22 @@ class Simulator:
                 return _STOP_EVENTS
             # -- pop + run -------------------------------------------------
             if from_heap:
-                handle = heappop(heap)[2]
-                handle._loop = None
+                entry = heappop(heap)
                 if next_time != clock._now:
                     clock._now = next_time  # monotone by heap order
+                if len(entry) == 4:
+                    # A delivery entry runs straight from the tuple: no
+                    # handle to arm, call through or retire.  A sink
+                    # still sees one, built for it and dropped.
+                    self.events_processed += 1
+                    executed += 1
+                    emit = probe.emit
+                    if emit is not None:
+                        emit(_detach(entry))
+                    entry[3](entry[2])
+                    continue
+                handle = entry[2]
+                handle._loop = None
             elif chooser is None:
                 handle = ready.popleft()
             else:
@@ -593,11 +617,41 @@ class Simulator:
         return (
             sum(1 for handle in self._ready if not handle._cancelled)
             + sum(1 for handle in self._choices if not handle._cancelled)
-            + sum(1 for entry in self._heap if not entry[2]._cancelled)
+            + sum(1 for entry in self._heap if _live(entry))
         )
+
+    def _scheduled(self) -> Iterator[tuple[float, Callable[..., Any], Any]]:
+        """``(time, callback, args)`` of every live heap entry, in heap
+        (not execution) order — for the checker's fingerprint, so the
+        entry shapes stay this module's business."""
+        for entry in self._heap:
+            if len(entry) == 4:
+                yield entry[0], entry[3], (entry[2],)
+            elif not entry[2]._cancelled:
+                yield entry[0], entry[2]._callback, entry[2]._args
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now}, pending={self.pending_events})"
+
+
+def _live(entry: tuple) -> bool:
+    """Whether a heap entry will run: a delivery entry always does."""
+    return len(entry) == 4 or not entry[2]._cancelled
+
+
+def _detach(entry: tuple) -> EventHandle:
+    """The handle for an entry just popped off the heap.
+
+    A delivery entry has none, so whoever needs one — ``step()`` through
+    ``_pop_next``, a ``sim.step`` sink — gets a throw-away handle that
+    reads like the pooled one it replaced (``_callback``, ``_args[0]``).
+    """
+    if len(entry) == 4:
+        time, seq, arg, callback = entry
+        return EventHandle(time, seq, callback, (arg,))
+    handle = entry[2]
+    handle._loop = None
+    return handle
 
 
 def _resolve_sleep(fut: Future) -> None:

@@ -14,9 +14,14 @@ protocol logic does.
 
 * **handle freelist** — retired scheduler handles, re-armed in place by
   the simulator's pooled scheduling entry points
-  (:meth:`~repro.sim.loop.Simulator.schedule_delivery`,
-  :meth:`~repro.sim.loop.Simulator.call_soon_pooled`) and released by
-  the event loop (``Simulator._drive``) right after the callback returns;
+  (:meth:`~repro.sim.loop.Simulator.call_soon_pooled`, and
+  :meth:`~repro.sim.loop.Simulator.schedule_delivery` for a
+  same-instant delivery) and released by the event loop
+  (``Simulator._drive``) right after the callback returns.  Handles are
+  for the ready tier and for public scheduling only: a *future*
+  delivery rides the heap as a bare ``(time, seq, arg, callback)`` entry
+  and takes no handle, pooled or otherwise, so this freelist sees task
+  steps, not messages;
 * **message freelist** — retired network messages, recycled by
   :class:`~repro.net.network.Network` when it runs in ``recycle`` mode
   (release happens after the delivery handler returns, and *never* for

@@ -50,3 +50,16 @@ def test_text_report_says_what_the_check_did(capsys):
     out = capsys.readouterr().out
     assert "fingerprints : 2 state walk(s)" in out
     assert "minimizer    : 2 replay(s)" in out
+
+
+def test_a_rejected_model_is_a_one_line_error_not_a_traceback(capsys):
+    assert main(["check", "--n", "4", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "repro: error: resilience bound requires n > 3t, got n=4, t=2\n"
+    )
+    assert main(["check", "--n", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: error: need at least 2 processes, got 1\n"
+    )

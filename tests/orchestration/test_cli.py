@@ -108,3 +108,45 @@ class TestFeasibilityCommand:
     def test_needs_n_or_m(self):
         with pytest.raises(SystemExit):
             main(["feasibility", "--t", "2"])
+
+
+class TestConfigurationErrors:
+    """A rejected configuration is one stderr line and exit code 2,
+    whatever the command — never a traceback."""
+
+    def test_run(self, capsys):
+        code = main(["run", "--n", "4", "--t", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "repro: error: resilience bound requires n > 3t, got n=4, t=2\n"
+        )
+
+    def test_run_with_k_above_t(self, capsys):
+        assert main(["run", "--n", "4", "--t", "1", "--k", "7"]) == 2
+        assert capsys.readouterr().err == "repro: error: k must be in 0..t, got 7\n"
+
+    def test_sweep(self, capsys, monkeypatch):
+        # Sweeps record a scenario's configuration error on its outcome;
+        # what is left is one raised while the sweep itself is set up.
+        from repro.cli import sweep
+        from repro.errors import ConfigurationError
+
+        def refuse(args):
+            raise ConfigurationError("need at least 2 processes, got 1")
+
+        monkeypatch.setattr(sweep, "build_matrix", refuse)
+        assert main(["sweep", "--grid", "1:0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro: error: need at least 2 processes, got 1\n"
+
+    def test_other_errors_still_propagate(self, monkeypatch):
+        from repro.cli import sweep
+
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(sweep, "build_matrix", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["sweep"])

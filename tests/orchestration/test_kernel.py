@@ -82,3 +82,21 @@ class TestKernelContext:
         assert len(second.trace.events) == len(first.trace.events)
         untraced = run_consensus(config, context=ctx)
         assert untraced.trace is None
+
+    def test_handles_are_taken_per_task_step_not_per_message(self):
+        # The object diet's count gate.  A message in flight on a
+        # positive-delay channel is one heap entry and takes no handle,
+        # so a sampled run takes handles for task steps only (the
+        # handle-per-delivery path took 6 584 here).
+        # Message recycling is the network's and is not touched.
+        ctx = KernelContext()
+        outcome = run_scenario(
+            spec(n=10, t=3, topology="minimal", seed=411), context=ctx
+        )
+        assert outcome.messages_sent == 6570
+        assert outcome.events_processed == 6488
+        counters = ctx.pools.counters()
+        handles = counters["pool_handles_created"] + counters["pool_handles_reused"]
+        assert handles == 14
+        assert counters["pool_messages_created"] == 331
+        assert counters["pool_messages_reused"] == 6239

@@ -14,11 +14,11 @@ compares the production pop against, event for event; nothing under
 
 from __future__ import annotations
 
-from repro.sim import Simulator
 from repro.sim.handles import EventHandle
+from tests.sim.reference_delivery import HandleDeliverySimulator
 
 
-class ReferenceChooserSimulator(Simulator):
+class ReferenceChooserSimulator(HandleDeliverySimulator):
     def _pop_next_chosen(self) -> EventHandle | None:
         ready = self._ready
         while ready and ready[0]._cancelled:

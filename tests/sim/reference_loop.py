@@ -5,7 +5,9 @@ These are ``Simulator.run``, ``run_until_complete``, ``_run_chosen`` and
 loops of ``sim/loop.py`` were merged into the one ``Simulator._drive``.
 What they call — ``step``, ``_pop_next``, ``_pop_next_chosen``,
 ``_release_handle``, ``peek_time`` — is inherited: production kept
-those as they were.  Kept only as the reference
+those as they were.  The loops read a handle off every heap entry, so
+they sit on ``reference_delivery.py``'s handle-per-delivery scheduling.
+Kept only as the reference
 ``test_loop_differential.py`` compares the production loop against,
 event for event; nothing under ``src/`` imports it.
 """
@@ -16,13 +18,13 @@ import heapq
 from typing import Any
 
 from repro.errors import DeadlineExceeded, DeadlockError
-from repro.sim import Simulator
 from repro.sim.futures import _PENDING, Future
 from repro.sim.loop import _MIN_HEAP_COMPACTION, _noop_release
 from repro.sim.pool import MAX_POOL
+from tests.sim.reference_delivery import HandleDeliverySimulator
 
 
-class ReferenceLoopSimulator(Simulator):
+class ReferenceLoopSimulator(HandleDeliverySimulator):
     def run(
         self,
         until: float | None = None,

@@ -155,9 +155,14 @@ def drive(sim_cls, program, picks, aborts, clear_at, entry="step",
     trace = []
 
     def state():
+        # Pool accounting is compared as handles taken for anything but
+        # a future delivery: production takes none for those, the
+        # handle-per-delivery references one each.
         pools = sim.pools
+        taken = pools.handles_created + pools.handles_reused
         return (sim.now, sim.events_processed, sim.pending_events,
-                sim.peek_time(), pools.handles_created, pools.handles_reused)
+                sim.peek_time(),
+                taken - getattr(sim, "future_delivery_handles", 0))
 
     def call(run):
         """``run()`` until it returns or raises something other than a

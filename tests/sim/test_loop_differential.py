@@ -12,7 +12,7 @@ execution order, the clock and ``events_processed`` each event sees, the
 candidate lists shown to ``choose()``, what the call returned or raised
 (type *and* text), and — where it stopped and again after draining the
 rest — ``now``, ``events_processed``, ``pending_events``, ``peek_time()``
-and the handle pool's created / reused counters.
+and the handles taken from the pool (future deliveries aside).
 """
 
 import pytest
@@ -97,7 +97,7 @@ def test_every_stop_reason(chooser, entry, limits, resolve_at, outcome, executed
     assert got == drive(ReferenceLoopSimulator, *args)
     _all_executed, _clock, _shown, trace, stopped, final = got
     assert trace[0] == outcome
-    (now, processed, pending, peeked, _created, _reused), ran = stopped
+    (now, processed, pending, peeked, _handles_taken), ran = stopped
     assert processed == len(ran) == executed
     # A tripped budget leaves the peeked event queued: it is still
     # pending, still what peek_time() reports, and runs afterwards.
