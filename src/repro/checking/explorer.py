@@ -41,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from .choice import BaseChooser, ScheduleChooser, ScheduleDivergence, message_key
-from .fingerprint import state_fingerprint
+from ..errors import ConfigurationError
+from .choice import BaseChooser, ScheduleChooser, ScheduleDivergence
+from .fingerprint import TokenCache, state_fingerprint
 from .harness import DEFAULT_MAX_STEPS, RunAbort, RunOutcome, execute_run
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,10 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "CheckResult",
     "CheckStats",
+    "EXECUTION_STATUSES",
     "ExplorationChooser",
     "Explorer",
     "minimize_counterexample",
 ]
+
+#: Every way one execution of a search can end, in report order.
+EXECUTION_STATUSES = (
+    "complete", "quiescent", "deduped", "pruned",
+    "depth", "steps", "budget", "violation",
+)
 
 
 @dataclass
@@ -127,6 +135,16 @@ class CheckResult:
     fingerprints: int = 0
     #: Replays the minimizer ran to shrink the counterexample.
     minimize_replays: int = 0
+    #: Per-process token blocks actually walked for those fingerprints
+    #: (``fingerprints x processes`` if nothing were cached).
+    process_walks: int = 0
+    #: Simulator steps (of ``stats.steps``) that retraced ground an
+    #: earlier execution of the same search had already verified.
+    retraced_steps: int = 0
+    #: Executions per final status (:data:`EXECUTION_STATUSES`); sums to
+    #: ``stats.executions``.  ``stats.pruned`` counts slept *branches*,
+    #: which is a different thing from executions that ended pruned.
+    outcomes: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -140,6 +158,9 @@ class CheckResult:
             "minimized": self.minimized,
             "fingerprints": self.fingerprints,
             "minimize_replays": self.minimize_replays,
+            "process_walks": self.process_walks,
+            "retraced_steps": self.retraced_steps,
+            "outcomes": dict(self.outcomes),
         }
 
 
@@ -153,7 +174,7 @@ class _Branch:
     keys dependent on (same destination as) its own first delivery.
     """
 
-    __slots__ = ("base_trail", "explorable", "keys", "sleep", "cursor")
+    __slots__ = ("base_trail", "explorable", "keys", "sleep", "steps", "cursor")
 
     def __init__(
         self,
@@ -161,11 +182,15 @@ class _Branch:
         explorable: list[int],
         keys: dict[int, tuple],
         sleep: frozenset,
+        steps: int = 0,
     ) -> None:
         self.base_trail = base_trail
         self.explorable = explorable
         self.keys = keys
         self.sleep = sleep
+        #: Simulator steps the passing execution had run (and verified)
+        #: when it reached this point; every sibling retraces them.
+        self.steps = steps
         self.cursor = 1
 
     @property
@@ -193,22 +218,54 @@ class ExplorationChooser(BaseChooser):
     first-unslept while pushing one :class:`_Branch` per branching
     choice point onto the explorer's stack (deepest on top, each
     handing out its siblings in candidate order — the sleep-set
-    accumulation relies on it)."""
+    accumulation relies on it).
+
+    It is the one object that sees every delivery of its execution, so
+    it owns the execution's :class:`~repro.checking.fingerprint.TokenCache`
+    and reports every delivery it hands out to it.
+    """
+
+    #: Built by :meth:`attach`, once the frame says whose stacks exist.
+    cache: TokenCache
+    adversary_stacks: list[Any]
 
     def __init__(
         self,
         explorer: "Explorer",
         prefix: tuple[int, ...],
         sleep: frozenset,
+        verified_steps: int = 0,
     ) -> None:
         super().__init__()
         self.explorer = explorer
         self.prefix = prefix
         self.sleep = sleep
+        #: Leading simulator steps that retrace what an earlier
+        #: execution of this search ran and verified — a sibling's
+        #: ``base_trail``, up to the step whose ``choose()`` consumes the
+        #: sibling's own index.  The harness skips its invariant reads
+        #: there; a root prefix (another shard's ground) vouches for
+        #: nothing.
+        self.verified_steps = verified_steps
         self.depth = 0
         self.trail: list[int] = []
 
+    def attach(self, frame: Any) -> None:
+        super().attach(frame)
+        adversaries = frame.adversary_consensi
+        pids = sorted(adversaries)
+        self.adversary_stacks = [adversaries[pid] for pid in pids]
+        self.cache = TokenCache(pids)
+
     def choose(self, candidates: list["EventHandle"]) -> int:
+        index = self._choose(candidates)
+        # Forced, replayed or chosen: every delivery leaves through here.
+        self.cache.delivered(
+            candidates[index]._args[0].dest, len(candidates) == 1
+        )
+        return index
+
+    def _choose(self, candidates: list["EventHandle"]) -> int:
         explorer = self.explorer
         stats = explorer.stats
         depth = self.depth
@@ -221,7 +278,7 @@ class ExplorationChooser(BaseChooser):
             # only re-derive an interleaving a sibling order already
             # covered (classic sleep-set leaf).
             index = heads[0]
-            key = message_key(candidates[index]._args[0])
+            key = self.cache.key_of(candidates[index]._args[0])[0]
             if key in self.sleep and depth >= len(self.prefix):
                 stats.pruned += 1
                 raise RunAbort("pruned")
@@ -240,9 +297,9 @@ class ExplorationChooser(BaseChooser):
             return index
         if explorer.max_depth is not None and depth >= explorer.max_depth:
             raise RunAbort("depth")
+        key_of = self.cache.key_of
         keys = {
-            index: message_key(candidates[index]._args[0])
-            for index in heads
+            index: key_of(candidates[index]._args[0])[0] for index in heads
         }
         if explorer.dedup:
             explorer.fingerprints += 1
@@ -250,11 +307,9 @@ class ExplorationChooser(BaseChooser):
                 self.frame,
                 candidates,
                 tasks=self.tasks,
-                extra_stacks=[
-                    self.frame.adversary_consensi[pid]
-                    for pid in sorted(self.frame.adversary_consensi)
-                ],
+                extra_stacks=self.adversary_stacks,
                 fifo=self.fifo,
+                cache=self.cache,
             )
             stored = explorer.visited.get(fingerprint)
             if stored is not None and stored <= self.sleep:
@@ -288,7 +343,10 @@ class ExplorationChooser(BaseChooser):
         chosen_key = keys[chosen]
         if len(explorable) > 1:
             explorer.stack.append(
-                _Branch(tuple(self.trail), explorable, keys, sleep)
+                _Branch(
+                    tuple(self.trail), explorable, keys, sleep,
+                    self.frame.sim.events_processed,
+                )
             )
         self.sleep = frozenset(
             key for key in sleep if key[1] != chosen_key[1]
@@ -339,6 +397,12 @@ class Explorer:
         on_execution: Callable[[tuple[int, ...], RunOutcome], None] | None = None,
         roots: tuple[tuple[int, ...], ...] = ((),),
     ) -> None:
+        for budget, value in (
+            ("max_executions", max_executions), ("max_depth", max_depth),
+            ("max_states", max_states), ("max_steps", max_steps),
+        ):
+            if value is not None and value < 0:
+                raise ConfigurationError(f"{budget} must be >= 0, got {value}")
         self.config = config
         self.context = context
         self.max_executions = max_executions
@@ -354,8 +418,14 @@ class Explorer:
         self.on_execution = on_execution
         self.stats = CheckStats()
         self.visited: dict[str, frozenset] = {}
-        #: Fingerprints computed so far.
+        #: Fingerprints computed so far, and the per-process blocks
+        #: walked for them.
         self.fingerprints = 0
+        self.process_walks = 0
+        #: Steps run on ground an earlier execution had verified.
+        self.retraced_steps = 0
+        #: Executions per final status.
+        self.outcomes = dict.fromkeys(EXECUTION_STATUSES, 0)
         #: Root prefixes not started yet, next one last.
         self.roots: list[tuple[int, ...]] = [
             tuple(root) for root in reversed(roots)
@@ -364,16 +434,16 @@ class Explorer:
         #: still has unexplored siblings, deepest on top.
         self.stack: list[_Branch] = []
 
-    def _pop_entry(self) -> tuple[tuple[int, ...], frozenset]:
-        """The next ``(prefix, sleep)`` to execute: the deepest open
-        branch's next sibling, else the next root."""
+    def _pop_entry(self) -> tuple[tuple[int, ...], frozenset, int]:
+        """The next ``(prefix, sleep, verified steps)`` to execute: the
+        deepest open branch's next sibling, else the next root."""
         if not self.stack:
-            return self.roots.pop(), frozenset()
+            return self.roots.pop(), frozenset(), 0
         branch = self.stack[-1]
-        entry = branch.pop_sibling(self.prune)
+        prefix, sleep = branch.pop_sibling(self.prune)
         if branch.exhausted:
             self.stack.pop()
-        return entry
+        return prefix, sleep, branch.steps
 
     def run(self) -> CheckResult:
         """Explore until the stack drains, a budget trips, or a
@@ -397,17 +467,24 @@ class Explorer:
             ):
                 exhausted = False
                 break
-            prefix, sleep = self._pop_entry()
-            chooser = ExplorationChooser(self, prefix, sleep)
+            prefix, sleep, verified = self._pop_entry()
+            chooser = ExplorationChooser(self, prefix, sleep, verified)
             outcome = execute_run(
                 self.config, chooser, context=self.context,
                 max_steps=self.max_steps,
             )
             stats.executions += 1
             stats.steps += outcome.steps
+            self.retraced_steps += verified
+            self.process_walks += chooser.cache.walks
             if self.on_execution is not None:
                 self.on_execution(prefix, outcome)
             status = outcome.status
+            if status == "divergence":
+                raise ScheduleDivergence(
+                    f"root prefix {prefix} does not fit the model"
+                )
+            self.outcomes[status] += 1
             if status == "complete":
                 stats.completed += 1
             elif status == "quiescent":
@@ -433,10 +510,6 @@ class Explorer:
                     counterexample = raw_counterexample
                 exhausted = False
                 break
-            elif status == "divergence":
-                raise ScheduleDivergence(
-                    f"root prefix {prefix} does not fit the model"
-                )
             # "deduped"/"pruned" already counted by the chooser.
             if (
                 self.progress is not None
@@ -458,6 +531,9 @@ class Explorer:
             ),
             fingerprints=self.fingerprints,
             minimize_replays=minimize_replays,
+            process_walks=self.process_walks,
+            retraced_steps=self.retraced_steps,
+            outcomes=self.outcomes,
         )
 
 

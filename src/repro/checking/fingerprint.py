@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import random
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..net.channel import Channel
 from ..net.network import Network
@@ -40,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.handles import EventHandle
     from ..sim.tasks import Task
 
-__all__ = ["canon", "state_fingerprint", "state_tokens"]
+__all__ = ["TokenCache", "canon", "state_fingerprint", "state_tokens"]
 
 #: Types whose values are hashed verbatim (subclasses included: an
 #: ``IntEnum`` member hashes as its ``repr``).
@@ -246,12 +247,110 @@ def _coro_tokens(task: "Task") -> list[str]:
     return out
 
 
+class TokenCache:
+    """What one execution has already canonicalised: per-process token
+    blocks and per-message keys.
+
+    Consecutive fingerprints of one execution differ in at most one
+    process's protocol state, so the structural walk of a process is
+    kept — as the token list it emitted — until something can have
+    touched that process.  The chooser that sees every delivery of the
+    execution owns the cache and reports each one through
+    :meth:`delivered`; :func:`state_tokens` only fills and reads it.
+    Two rules are the whole invalidation:
+
+    1. A delivery drops its destination's block.  A handler (and the
+       same-instant cascade of task steps and self-deliveries behind
+       it) touches only its own process's state — what the sleep sets
+       already rest on; the cache rests on nothing more.
+    2. Handing out the *last* pending delivery drops every block.  The
+       heap is consulted only at ready-quiescence
+       (``Simulator._pop_next_chosen``), which can only follow a choice
+       point that emptied the candidates — so that is the only moment a
+       timer, which may belong to any process, can fire.  The clock is
+       *not* the key: two round timers armed at the same instant expire
+       at one ``sim.now`` with a choice point possibly between them.
+
+    A block is walked with a memo of its own, where the cache-less walk
+    shares one across processes.  The streams are identical because no
+    walked object is reachable from two processes
+    (``tests/checking/test_fingerprint_differential.py`` pins both).
+
+    Message keys need no invalidation: a pending message is immutable
+    and its ``uid`` is unique within the execution's network, so
+    :meth:`key_of` canonicalises each payload once, for the chooser's
+    sleep sets and for every pending multiset the message shows up in.
+    """
+
+    __slots__ = ("blocks", "extra_pids", "walks", "keys", "_message_key")
+
+    def __init__(self, extra_pids: Iterable[int] = ()) -> None:
+        # ``choice`` imports this module, so not at the top — and once
+        # per execution here rather than once per message in ``key_of``.
+        from .choice import message_key
+
+        self._message_key = message_key
+        #: ``pid -> tokens`` of the process's stacks as last walked.
+        self.blocks: dict[int, list[str]] = {}
+        #: Owners of the ``extra_stacks`` passed next to this cache, in
+        #: the same order (disjoint from the tracked pids).
+        self.extra_pids = tuple(extra_pids)
+        #: Blocks actually walked (``fingerprints x processes`` without
+        #: the cache).
+        self.walks = 0
+        #: ``message.uid -> (key, repr(key))``.
+        self.keys: dict[int, tuple[tuple, str]] = {}
+
+    def block(self, pid: int, roots: Iterable[tuple[str, Any]]) -> list[str]:
+        """``pid``'s tokens: as last walked, else walked now — the same
+        :func:`_walk` over its labelled ``roots``, under one fresh memo."""
+        block = self.blocks.get(pid)
+        if block is None:
+            block = self.blocks[pid] = []
+            seen: set[int] = set()
+            for label, root in roots:
+                _walk(root, label, block, seen)
+            self.walks += 1
+        return block
+
+    def key_of(self, message: Any) -> tuple[tuple, str]:
+        """``message_key(message)`` and its ``repr``, computed once."""
+        entry = self.keys.get(message.uid)
+        if entry is None:
+            key = self._message_key(message)
+            entry = self.keys[message.uid] = (key, repr(key))
+        return entry
+
+    def delivered(self, dest: int, last: bool) -> None:
+        """A delivery to ``dest`` was handed out; ``last`` when it left
+        no other delivery pending."""
+        if last:
+            self.blocks.clear()
+        else:
+            self.blocks.pop(dest, None)
+
+
+def _process_roots(
+    frame: "RuntimeFrame", extra_stacks: Iterable[Any], extra_pids: Iterable[int]
+) -> Iterator[tuple[int, tuple[tuple[str, Any], ...]]]:
+    """``(pid, ((label, root), ...))`` per process, in token order:
+    tracked stacks by pid, then the extra (adversary) stacks as given."""
+    for pid in sorted(frame.consensi):
+        yield pid, (
+            (f"p{pid}", frame.consensi[pid]),
+            (f"p{pid}.rb", frame.rb_engines[pid]),
+        )
+    for index, (pid, stack) in enumerate(zip(extra_pids, extra_stacks)):
+        yield pid, ((f"adv{index}", stack),)
+
+
 def state_tokens(
     frame: "RuntimeFrame",
     candidates: Iterable["EventHandle"],
     tasks: Iterable["Task"] = (),
     extra_stacks: Iterable[Any] = (),
     fifo: bool = False,
+    cache: TokenCache | None = None,
 ) -> list[str]:
     """The token stream :func:`state_fingerprint` hashes.
 
@@ -264,8 +363,17 @@ def state_tokens(
     not fingerprint equal.  ``tasks`` are the coroutines created this
     run (the simulator's task list); ``extra_stacks`` are
     additional protocol objects to walk (untracked adversary stacks).
+    ``cache`` is the calling execution's :class:`TokenCache`; without
+    one every process is walked, under one memo.
     """
-    from .choice import message_key
+    if cache is None:
+        from .choice import message_key
+
+        def key_text(message: Any) -> str:
+            return repr(message_key(message))
+    else:
+        def key_text(message: Any) -> str:
+            return cache.key_of(message)[1]
 
     out: list[str] = [f"now={frame.sim.now!r}"]
     if fifo:
@@ -273,14 +381,14 @@ def state_tokens(
         for handle in candidates:
             message = handle._args[0]
             queues.setdefault((message.sender, message.dest), []).append(
-                repr(message_key(message))
+                key_text(message)
             )
         out.extend(
             f"chan:{channel!r}:" + ";".join(keys)
             for channel, keys in sorted(queues.items())
         )
     else:
-        out.extend(sorted(repr(message_key(h._args[0])) for h in candidates))
+        out.extend(sorted(key_text(h._args[0]) for h in candidates))
     deliver_cb = frame.network._deliver_cb
     timers = []
     for time, callback, args in frame.sim._scheduled():
@@ -290,12 +398,14 @@ def state_tokens(
         args = ",".join(canon(a) or type(a).__name__ for a in args)
         timers.append(f"timer:{time!r}:{qualname}({args})")
     out.extend(sorted(timers))
-    seen: set[int] = set()
-    for pid in sorted(frame.consensi):
-        _walk(frame.consensi[pid], f"p{pid}", out, seen)
-        _walk(frame.rb_engines[pid], f"p{pid}.rb", out, seen)
-    for index, stack in enumerate(extra_stacks):
-        _walk(stack, f"adv{index}", out, seen)
+    if cache is None:
+        seen: set[int] = set()  # one memo spans every process
+        for _, roots in _process_roots(frame, extra_stacks, itertools.count()):
+            for label, root in roots:
+                _walk(root, label, out, seen)
+    else:
+        for pid, roots in _process_roots(frame, extra_stacks, cache.extra_pids):
+            out.extend(cache.block(pid, roots))
     for pid in sorted(frame.consensi):
         decision = frame.consensi[pid].decision
         if decision.done() and not decision.cancelled():
@@ -313,8 +423,9 @@ def state_fingerprint(
     tasks: Iterable["Task"] = (),
     extra_stacks: Iterable[Any] = (),
     fifo: bool = False,
+    cache: TokenCache | None = None,
 ) -> str:
     """SHA-256 fingerprint of the global state at one choice point."""
-    tokens = state_tokens(frame, candidates, tasks, extra_stacks, fifo)
+    tokens = state_tokens(frame, candidates, tasks, extra_stacks, fifo, cache)
     digest = hashlib.sha256("\x1f".join(tokens).encode("utf-8", "replace"))
     return digest.hexdigest()

@@ -6,7 +6,11 @@ runtime (:func:`repro.orchestration.runner.build_runtime` with a
 chooser), step the simulator manually, and verify
 :func:`repro.analysis.invariants.verify_consensus_run` after *every*
 event so a violation is caught at the exact step it appears — the
-recorded choice trail up to that step is the raw counterexample.
+recorded choice trail up to that step is the raw counterexample.  The
+one exception is ground the explorer's own chooser vouches for
+(``verified_steps``): the prefix a DFS sibling retraces was run and
+verified, step for step, by the execution that passed its branch point
+earlier in the same search, so re-verifying it can find nothing new.
 
 Choosers abort an execution mid-run by raising :class:`RunAbort` from
 ``choose()``; the abort propagates out of ``sim.step()`` *before* any
@@ -122,6 +126,11 @@ def _drive(
         attach(frame)
     sim = frame.sim
     allow_bot = config.variant == "bot"
+    # Leading steps the chooser vouches for: ground an earlier execution
+    # of the same search already ran and verified.  Only the two
+    # invariant reads below are skipped there; a chooser that does not
+    # say so is verified from its first step.
+    verified = getattr(chooser, "verified_steps", 0)
     steps = 0
     status = "complete"
     violations: tuple[Violation, ...] = ()
@@ -147,10 +156,16 @@ def _drive(
             status = "divergence"
             break
         steps += 1
+        if steps < verified:
+            continue
         fresh = _progress_token(frame)
         if fresh == token:
             continue
         token = fresh
+        if steps == verified:
+            # The state new ground starts from: verified when it was
+            # first reached, the baseline for what follows.
+            continue
         report = verify_consensus_run(
             _current_decisions(frame),
             config.proposals,

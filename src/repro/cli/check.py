@@ -139,6 +139,7 @@ def run(args: argparse.Namespace) -> int:
         config = build_config(
             args, max_rounds=args.max_rounds, fifo=args.fifo
         )
+    # 0 means "the default"; a negative ceiling is the Explorer's to refuse.
     max_steps = args.max_steps or DEFAULT_MAX_STEPS
 
     if args.replay is not None:
@@ -244,16 +245,22 @@ def run(args: argparse.Namespace) -> int:
           + ("" if result.exhausted or result.verdict == "violation"
              else " (budget hit before exhaustion)"))
     print(f"exhausted    : {result.exhausted}")
-    print(f"executions   : {stats.executions} "
-          f"({stats.completed} complete, {stats.quiescent} quiescent, "
-          f"{stats.deduped} deduped, {stats.pruned + 0} pruned-out)")
+    # Every execution ends one way: the parts sum to the total.  The
+    # first four always print; a budget or a violation only when hit.
+    breakdown = ", ".join(
+        f"{count} {status}"
+        for index, (status, count) in enumerate(result.outcomes.items())
+        if index < 4 or count
+    )
+    print(f"executions   : {stats.executions} ({breakdown})")
     print(f"states       : {stats.states} distinct "
           f"({states_per_second:.0f}/s)")
     print(f"choice pts   : {stats.choice_points} "
           f"(max depth {stats.max_depth})")
     print(f"pruned       : {stats.pruned} slept branch(es)")
-    print(f"sim steps    : {stats.steps}")
-    print(f"fingerprints : {result.fingerprints} state walk(s)")
+    print(f"sim steps    : {stats.steps} ({result.retraced_steps} retraced)")
+    print(f"fingerprints : {result.fingerprints} state walk(s), "
+          f"{result.process_walks} process walk(s)")
     if result.minimized:
         print(f"minimizer    : {result.minimize_replays} replay(s)")
     print(f"elapsed      : {elapsed:.2f}s")
