@@ -36,9 +36,10 @@ class MisbehavingProcess(Process):
 
     The outbound filter sees every message (including reliable-broadcast
     echoes and readies) just before transmission and may rewrite the
-    payload differently per destination, or drop it.  Broadcasts are
-    expanded into per-destination sends *before* filtering, so a filter
-    can equivocate: same protocol step, different value per receiver.
+    payload differently per destination, or drop it.  A broadcast runs
+    the filter once per destination, in ascending order, so a filter can
+    equivocate — same protocol step, different value per receiver — and
+    the survivors leave as one :meth:`Network.fan_out` batch.
     """
 
     def __init__(
@@ -58,9 +59,16 @@ class MisbehavingProcess(Process):
         super().send(dst, tag, filtered)
 
     def broadcast(self, tag: str, payload: Any) -> None:
-        # Expand so the filter can treat each destination differently.
+        outbound = self._outbound_filter
+        now = self.sim.now
+        dsts = []
+        payloads = []
         for dst in range(1, self.network.n + 1):
-            self.send(dst, tag, payload)
+            filtered = outbound(dst, tag, payload, now)
+            if filtered is not DROP:
+                dsts.append(dst)
+                payloads.append(filtered)
+        self.network.fan_out(self.pid, tag, dsts, payloads)
 
     def __repr__(self) -> str:
         return f"MisbehavingProcess(pid={self.pid})"
@@ -91,8 +99,12 @@ class RawByzantine:
         self.rng = rng
         self.noise_probability = noise_probability
         self._forge = forge if forge is not None else _default_forge
-        self.received = 0
         network.register_process(pid, self._on_message)
+
+    @property
+    def received(self) -> int:
+        """Messages delivered to this actor so far."""
+        return self.network.delivered_by_dest[self.pid]
 
     def send_raw(self, dst: int, tag: str, payload: Any) -> None:
         """Send an arbitrary message under this actor's own identity."""
@@ -100,11 +112,9 @@ class RawByzantine:
 
     def broadcast_raw(self, tag: str, payload: Any) -> None:
         """Send an arbitrary message to every process."""
-        for dst in range(1, self.network.n + 1):
-            self.send_raw(dst, tag, payload)
+        self.network.broadcast(self.pid, tag, payload)
 
     def _on_message(self, message: Message) -> None:
-        self.received += 1
         if self.noise_probability > 0 and self.rng.random() < self.noise_probability:
             self._forge(self, message)
 

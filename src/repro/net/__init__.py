@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from .._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .channel import Channel, ChannelStats
+    from .channel import Channel
     from .messages import Message
     from .network import Network
     from .timing import (
@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
     )
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    ".channel": ("Channel", "ChannelStats"),
+    ".channel": ("Channel",),
     ".messages": ("Message",),
     ".network": ("Network",),
     ".timing": (

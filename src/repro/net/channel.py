@@ -17,33 +17,7 @@ from .timing import ChannelTiming
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.loop import Simulator
 
-__all__ = ["Channel", "ChannelStats"]
-
-
-class ChannelStats:
-    """Running statistics for one channel."""
-
-    __slots__ = ("messages", "total_delay", "max_delay", "last_delivery")
-
-    def __init__(self) -> None:
-        self.messages = 0
-        self.total_delay = 0.0
-        self.max_delay = 0.0
-        self.last_delivery = 0.0
-
-    @property
-    def mean_delay(self) -> float:
-        """Mean observed delay (0.0 if no messages were sent)."""
-        return self.total_delay / self.messages if self.messages else 0.0
-
-    def record(self, delay: float, delivery_time: float) -> None:
-        """Account for one transmitted message."""
-        self.messages += 1
-        self.total_delay += delay
-        if delay > self.max_delay:
-            self.max_delay = delay
-        if delivery_time > self.last_delivery:
-            self.last_delivery = delivery_time
+__all__ = ["Channel"]
 
 
 class Channel:
@@ -55,7 +29,7 @@ class Channel:
     the bound ``max(tau, s) + delta`` is monotone in the send time ``s``.
     """
 
-    __slots__ = ("src", "dst", "timing", "rng", "fifo", "stats", "_last_delivery")
+    __slots__ = ("src", "dst", "timing", "rng", "fifo", "_last_delivery")
 
     def __init__(
         self,
@@ -70,7 +44,6 @@ class Channel:
         self.timing = timing
         self.rng = rng
         self.fifo = fifo
-        self.stats = ChannelStats()
         self._last_delivery = 0.0
 
     def transmit(
@@ -88,22 +61,8 @@ class Channel:
         if self.fifo and delivery_time < self._last_delivery:
             delivery_time = self._last_delivery
         self._last_delivery = delivery_time
-        # Inlined ``self.stats.record(...)``: one delivery is scheduled
-        # per message in the system, so the method call plus the delay
-        # tuple it implies are pure per-event overhead.
-        stats = self.stats
-        delay = delivery_time - send_time
-        stats.messages += 1
-        stats.total_delay += delay
-        if delay > stats.max_delay:
-            stats.max_delay = delay
-        if delivery_time > stats.last_delivery:
-            stats.last_delivery = delivery_time
         sim.schedule_delivery(delivery_time, deliver, message)
         return delivery_time
 
     def __repr__(self) -> str:
-        return (
-            f"Channel({self.src}->{self.dst}, {self.timing.describe()}, "
-            f"msgs={self.stats.messages})"
-        )
+        return f"Channel({self.src}->{self.dst}, {self.timing.describe()})"

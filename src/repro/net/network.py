@@ -16,14 +16,27 @@ each channel's RNG stream is derived from the pair's *key*, not from
 creation order.  Observability goes through the instrumentation bus
 (:mod:`repro.instrumentation`): the network publishes ``net.send`` and
 ``net.deliver`` probes whose emit path is a single pointer check while
-no sink is attached.  The two counters every run result needs
-(``messages_sent``, ``sent_by_tag``) stay native — they are C-level
-int/dict operations, cheaper than any sink indirection.
+no sink is attached.  The counters every run result needs
+(``messages_sent``, ``sent_by_tag``, ``delivered_by_dest``) stay native —
+they are C-level int/dict/list operations, cheaper than any sink
+indirection.  A delivery calls the destination's handler straight from
+the tag -> handler table the process registered, and every fan-out —
+a broadcast, or a Byzantine sender's per-destination payloads — pays
+its fixed costs once (:meth:`Network.fan_out`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Mapping,
+    Sequence,
+    Union,
+)
 
 from ..errors import ConfigurationError
 from ..instrumentation import NET_DELIVER, NET_SEND, InstrumentationBus
@@ -43,6 +56,10 @@ __all__ = ["Network"]
 _SELF_CHANNEL_DELTA = 1e-9
 
 DeliverFn = Callable[[Message], None]
+#: What a process registers: its own tag -> handler dict (read on every
+#: delivery, so handlers registered later are seen), or one callable that
+#: takes every message.
+Recipient = Union[dict[str, DeliverFn], DeliverFn]
 
 
 class Network:
@@ -104,7 +121,11 @@ class Network:
         self._fifo = fifo
         #: Lazily materialized channels, keyed by ordered pair.
         self._channels: dict[tuple[int, int], Channel] = {}
-        self._processes: dict[int, DeliverFn] = {}
+        #: ``pid -> (tag -> handler table, catch-all callable)``: one of
+        #: the two is live, so a delivery is one ``table.get(tag, default)``.
+        self._processes: dict[
+            int, tuple[dict[str, DeliverFn], DeliverFn | None]
+        ] = {}
         self.bus = bus if bus is not None else getattr(
             sim, "bus", None
         ) or InstrumentationBus()
@@ -127,17 +148,35 @@ class Network:
         self.messages_sent = 0
         #: Message counts keyed by tag.
         self.sent_by_tag: dict[str, int] = {}
+        #: Messages delivered so far, indexed by destination pid (index 0
+        #: unused) — what ``Process.delivered_count`` reads.
+        self.delivered_by_dest: list[int] = [0] * (n + 1)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def register_process(self, pid: int, deliver: DeliverFn) -> None:
-        """Attach the delivery callback for process ``pid``."""
+    def register_process(self, pid: int, deliver: Recipient) -> None:
+        """Attach process ``pid``'s recipient.
+
+        ``deliver`` is either a tag -> handler ``dict`` — the network
+        calls the handler for a delivered message's tag straight from
+        it and drops tags it has no entry for; the dict is read at every
+        delivery, so entries added later count — or a callable that
+        takes every message delivered to ``pid``.
+        """
         if not 1 <= pid <= self.n:
             raise ConfigurationError(f"process id {pid} out of range 1..{self.n}")
         if pid in self._processes:
             raise ConfigurationError(f"process {pid} registered twice")
-        self._processes[pid] = deliver
+        if isinstance(deliver, dict):
+            self._processes[pid] = (deliver, None)
+        elif callable(deliver):
+            self._processes[pid] = ({}, deliver)
+        else:
+            raise ConfigurationError(
+                f"process {pid}: recipient must be a tag -> handler dict "
+                f"or a callable, got {type(deliver).__name__}"
+            )
 
     def channel(self, src: int, dst: int) -> Channel:
         """The channel object for the ordered pair (built on first use)."""
@@ -220,24 +259,39 @@ class Network:
 
         This is the unreliable broadcast of Section 2.1; a *Byzantine*
         sender is free not to use it and send different payloads to
-        different destinations via :meth:`send`.
+        different destinations via :meth:`fan_out`.
 
-        Batched: a broadcast is the hottest send pattern in every
-        protocol here (RB echo/ready floods are n² of these), so the
-        per-send fixed costs — virtual-clock read, uid allocation,
+        A broadcast is the hottest send pattern in every protocol here
+        (RB echo/ready floods are n² of these), so it is one
+        :meth:`fan_out` batch with the same payload for every
+        destination, in ascending order: bit-identical to n :meth:`send`
+        calls.
+        """
+        self.fan_out(src, tag, self._pids, repeat(payload))
+
+    def fan_out(
+        self, src: int, tag: str, dsts: Sequence[int], payloads: Iterable[Any]
+    ) -> None:
+        """Send the i-th of ``payloads`` to ``dsts[i]``, all as one batch.
+
+        The per-send fixed costs — virtual-clock read, uid allocation,
         counter bumps, probe check — are paid once for the whole fan-out
         instead of once per destination.  Observable behaviour is
-        bit-identical to n :meth:`send` calls: uids are assigned in the
-        same ascending destination order, counters reach the same
-        values, and the probe sees every message with the same stamp.
+        bit-identical to one :meth:`send` per pair in ``dsts`` order:
+        uids are assigned in that order, counters reach the same values,
+        and the probe sees every message with the same stamp.
         """
+        count = len(dsts)
+        if not count:
+            # Everything was dropped: n sends would leave no trace, not
+            # even a zero entry in ``sent_by_tag``.
+            return
         processes = self._processes
-        n = self.n
-        if len(processes) != n:
+        if len(processes) != self.n:
             # Partial registration: fall back to per-destination sends so
             # the "no process registered" error surfaces identically.
             send = self.send
-            for dst in range(1, n + 1):
+            for dst, payload in zip(dsts, payloads):
                 send(src, dst, tag, payload)
             return
         interned = self._tags.get(tag)
@@ -246,22 +300,22 @@ class Network:
         tag = interned
         now = self.sim._clock._now
         uid = self._next_uid
-        self._next_uid = uid + n
-        self.messages_sent += n
+        self._next_uid = uid + count
+        self.messages_sent += count
         counts = self.sent_by_tag
-        counts[tag] = counts.get(tag, 0) + n
+        counts[tag] = counts.get(tag, 0) + count
         pools = self.pools
         pool = self._msg_pool
         reused = len(pool)
-        if reused > n:
-            reused = n
+        if reused > count:
+            reused = count
         pools.messages_reused += reused
-        pools.messages_created += n - reused
+        pools.messages_created += count - reused
         emit = self._send_probe.emit
         channels = self._channels
         deliver = self._deliver_cb
         sim = self.sim
-        for dst in self._pids:
+        for dst, payload in zip(dsts, payloads):
             if pool:
                 message = pool.pop()
                 message.sender = src
@@ -284,7 +338,12 @@ class Network:
         emit = self._deliver_probe.emit
         if emit is not None:
             emit(message, self.sim._clock._now)
-        self._processes[message.dest](message)
+        dest = message.dest
+        self.delivered_by_dest[dest] += 1
+        table, default = self._processes[dest]
+        handler = table.get(message.tag, default)
+        if handler is not None:
+            handler(message)
         # Retire the message once the handler returns.  Copy-on-emit: a
         # message any probe observed is never recycled, so sinks that
         # retain references (tracers, golden fixtures) stay valid.

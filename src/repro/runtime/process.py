@@ -38,9 +38,10 @@ class Process:
     """A correct process attached to the network.
 
     Protocol objects (reliable broadcast, adopt-commit, ...) bind to a
-    process and register message handlers; the process dispatches each
-    delivered message to the matching handler, which (unless registered
-    as non-waking) then rechecks every pending ``wait_until`` predicate.
+    process and register message handlers; the network calls the
+    matching handler for each delivered message straight from the
+    process's handler table, and the handler (unless registered as
+    non-waking) then rechecks every pending ``wait_until`` predicate.
     """
 
     def __init__(self, pid: int, sim: "Simulator", network: "Network") -> None:
@@ -50,9 +51,8 @@ class Process:
         self._handlers: dict[str, HandlerFn] = {}
         self._cond = ConditionVar(name=f"p{pid}")
         self._tasks: list[Task] = []
-        #: Messages delivered to this process so far.
-        self.delivered_count = 0
-        network.register_process(pid, self._on_message)
+        # The network dispatches deliveries straight from this table.
+        network.register_process(pid, self._handlers)
 
     # ------------------------------------------------------------------
     # Handler registration and dispatch
@@ -84,11 +84,10 @@ class Process:
 
         return handle_then_wake
 
-    def _on_message(self, message: Message) -> None:
-        self.delivered_count += 1
-        handler = self._handlers.get(message.tag)
-        if handler is not None:
-            handler(message)
+    @property
+    def delivered_count(self) -> int:
+        """Messages delivered to this process so far."""
+        return self.network.delivered_by_dest[self.pid]
 
     # ------------------------------------------------------------------
     # Waiting

@@ -1,4 +1,5 @@
-"""Batched ``Network.broadcast`` must be indistinguishable from n sends.
+"""Batched ``Network.broadcast`` / ``Network.fan_out`` must be
+indistinguishable from one send per destination.
 
 The batch hoists the clock read, uid allocation, counter bumps and
 probe check out of the per-destination loop; everything observable —
@@ -86,6 +87,36 @@ class TestBroadcastEquivalence:
         assert emitted == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]
 
 
+class TestFanOut:
+    def test_fan_out_matches_per_destination_sends(self):
+        sim_a, net_a, recv_a = build_network()
+        net_a.fan_out(2, "TAG", [1, 3, 4], ["x", "y", "z"])
+        sim_a.run()
+
+        sim_b, net_b, recv_b = build_network()
+        for dst, payload in zip([1, 3, 4], ["x", "y", "z"]):
+            net_b.send(2, dst, "TAG", payload)
+        sim_b.run()
+
+        def facts(network, messages):
+            return (
+                [(pid, m.sender, m.dest, m.payload, m.sent_at, m.uid)
+                 for pid, m in messages],
+                network.messages_sent, network.sent_by_tag, network._next_uid,
+                network.pools.messages_created, network.pools.messages_reused,
+            )
+
+        assert facts(net_a, recv_a) == facts(net_b, recv_b)
+        assert [m.payload for _, m in recv_a] == ["x", "y", "z"]
+
+    def test_an_empty_fan_out_leaves_no_trace(self):
+        _, network, _ = build_network()
+        network.fan_out(1, "NEVER", [], [])
+        assert (network.messages_sent, network.sent_by_tag, network._next_uid) == (
+            0, {}, 0
+        )
+
+
 class TestPartialRegistration:
     def test_broadcast_to_unregistered_process_still_errors(self):
         sim = Simulator()
@@ -97,3 +128,12 @@ class TestPartialRegistration:
         # The fallback charged the delivered prefix exactly like n sends.
         assert network.messages_sent == 2
         assert network._next_uid == 2
+
+    def test_fan_out_to_unregistered_process_still_errors(self):
+        sim = Simulator()
+        network = Network(sim, 3, rng=RngRegistry(1))
+        network.register_process(1, lambda m: None)
+        network.register_process(2, lambda m: None)  # pid 3 missing
+        with pytest.raises(ConfigurationError, match="no process registered"):
+            network.fan_out(1, "T", [2, 3], ["a", "b"])
+        assert network.messages_sent == 1

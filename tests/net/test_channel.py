@@ -4,7 +4,7 @@ import random
 
 from repro.net.channel import Channel
 from repro.net.messages import Message
-from repro.net.timing import ConstantDelay, Asynchronous, Timely
+from repro.net.timing import ConstantDelay, Asynchronous
 from repro.sim import Simulator
 
 
@@ -26,18 +26,12 @@ class TestChannelTransmit:
         assert sim.now == 3.0
         assert len(delivered) == 1
 
-    def test_stats_accumulate(self):
+    def test_transmit_returns_the_delivery_time(self):
         sim = Simulator()
         chan = make_channel(Asynchronous(ConstantDelay(2.0)))
-        for i in range(4):
-            chan.transmit(sim, msg(i), lambda m: None)
-        assert chan.stats.messages == 4
-        assert chan.stats.mean_delay == 2.0
-        assert chan.stats.max_delay == 2.0
-
-    def test_mean_delay_empty(self):
-        chan = make_channel(Timely(delta=1.0))
-        assert chan.stats.mean_delay == 0.0
+        times = [chan.transmit(sim, msg(i), lambda m: None) for i in range(4)]
+        assert times == [2.0] * 4
+        assert repr(chan) == f"Channel(1->2, {chan.timing.describe()})"
 
     def test_non_fifo_can_reorder(self):
         sim = Simulator()

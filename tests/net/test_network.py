@@ -37,6 +37,25 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             Network(Simulator(), 3, timing={(1, 9): Timely(delta=1.0)})
 
+    def test_a_handler_table_is_read_at_every_delivery(self):
+        sim = Simulator()
+        network = Network(sim, 2, default_timing=Asynchronous(ConstantDelay(1.0)))
+        table, seen = {}, []
+        network.register_process(1, lambda m: None)
+        network.register_process(2, table)
+        network.send(1, 2, "EARLY", None)
+        network.send(1, 2, "LATE", None)
+        table["LATE"] = seen.append  # registered after the sends
+        sim.run()
+        assert [m.tag for m in seen] == ["LATE"]
+        # Both count as delivered, the unhandled tag included.
+        assert network.delivered_by_dest == [0, 0, 2]
+
+    def test_a_recipient_must_be_a_table_or_a_callable(self):
+        network = Network(Simulator(), 2)
+        with pytest.raises(ConfigurationError, match="recipient"):
+            network.register_process(1, ["not", "a", "recipient"])
+
     def test_send_to_unregistered_rejected(self):
         sim = Simulator()
         network = Network(sim, 3)

@@ -330,8 +330,7 @@ def run_program(sim_cls, program, fifo, recycle, seed):
         sim.call_at(float(when), act, *action)
     sim.run()
     channels = {
-        pair: (c.stats.messages, c.stats.total_delay, c.stats.max_delay,
-               c.stats.last_delivery, c.rng.getstate())
+        pair: (c._last_delivery, c.rng.getstate())
         for pair, c in network._channels.items()
     }
     pools = network.pools
