@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Each ``bench_*.py`` file regenerates one paper artifact (an algorithm
-figure or analytic claim — see DESIGN.md §5) as a printed table, writes
-it to ``benchmarks/results/``, and asserts the claim on it.  Nothing
-here is timed: the repo's one benchmark is ``benchmarks/stack``.
+figure or analytic claim; its module docstring names the experiment,
+E1–E10) as a printed table, writes it to ``benchmarks/results/``, and
+asserts the claim on it.  Nothing here is timed: the repo's one
+benchmark is ``benchmarks/stack``.
 """
 
 from __future__ import annotations

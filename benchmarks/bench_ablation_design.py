@@ -1,6 +1,6 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the design choices called out in docs/claims.md.
 
-A1 — timer placement (deviation 1): literal Figure 3 (timer armed at
+A1 — timer placement (Deviations 1): literal Figure 3 (timer armed at
      line 5, after the early return) vs. this repo's fix (armed before).
      The literal version deadlocks on the constructed line-4 split
      schedule; the fix terminates, and on ordinary runs both behave

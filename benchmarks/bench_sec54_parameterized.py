@@ -31,7 +31,8 @@ from tests.helpers import build_system  # noqa: E402
 
 
 class SplitCB:
-    """CB double pinning a persistent aux split (see DESIGN.md E6/E8)."""
+    """CB double pinning a persistent aux split (as in the E8 runs of
+    ``bench_baseline_comparison.py``)."""
 
     def __init__(self, process, rb, n, t, instance, selector=None):
         self.process = process

@@ -1,4 +1,5 @@
-"""Comparator algorithms for the separation experiments (DESIGN.md E8)."""
+"""Comparator algorithms for the separation experiments (E8,
+``benchmarks/bench_baseline_comparison.py``)."""
 
 from typing import TYPE_CHECKING
 

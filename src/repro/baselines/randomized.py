@@ -13,7 +13,7 @@ binary algorithm of Mostéfaoui, Moumen and Raynal (PODC 2014) — reference
   by ``bin_values``, then compare the surviving value set with a common
   coin — deciding when they match.
 
-**Substitution note (DESIGN.md):** the common coin is a Rabin-style
+**Substitution note (docs/claims.md, Deviations 4):** the common coin is a Rabin-style
 shared random oracle, simulated by a seeded stream all processes share;
 the adversary cannot read or bias it.  This is the standard idealisation
 used by [22] itself.

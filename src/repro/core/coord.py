@@ -9,7 +9,7 @@
   set) pair recurs infinitely often — the fact Lemma 3 relies on.
 
 The paper does not fix the order ``F_1 .. F_alpha``; we use lexicographic
-order over sorted process ids (documented deviation #3 in DESIGN.md) and
+order over sorted process ids (docs/claims.md, Deviations 3) and
 unrank combinations on demand, so ``alpha`` is never materialised.
 
 The parameterized variant (Section 5.4) uses witness sets of size

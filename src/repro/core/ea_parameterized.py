@@ -10,8 +10,8 @@ at ``k = t`` a single witness set remains and the bound is ``n`` — the
 best possible for a rotating-coordinator algorithm.
 
 The paper delegates the parameterized pseudocode to its (unavailable)
-tech report; this class is the reconstruction documented in DESIGN.md
-deviation 2 — identical to Figure 3 except that line 7 requires ``k + 1``
+tech report; this class is the reconstruction documented in
+docs/claims.md, Deviations 2 — identical to Figure 3 except that line 7 requires ``k + 1``
 matching non-⊥ relays from ``F(r)`` members, which is necessary because
 with exactly ``t`` faults every size-``n-t+k`` witness set contains at
 least ``k`` Byzantine processes.

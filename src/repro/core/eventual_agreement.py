@@ -21,7 +21,8 @@ round whose coordinator is the bisource, whose witness set contains the
 bisource's timely output set, and whose timeout exceeds ``2 * delta``,
 every correct process returns the championed value (Lemma 3).
 
-Two documented deviations from the literal pseudocode (DESIGN.md §2):
+Two documented deviations from the literal pseudocode (docs/claims.md,
+Deviations 1 and 2):
 
 1. the round timer is armed *before* the early return of line 4 (else a
    line-4 returner never relays and EA-Termination can fail — reproduced

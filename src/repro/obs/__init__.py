@@ -7,13 +7,15 @@ ledger, every kernel probe keeps ``emit is None``, and the
 sweep's ``observer`` stays ``None`` — telemetry is opt-in per sweep,
 never ambient.
 
-* :mod:`repro.obs.metrics` — labelled counters / gauges / histograms,
-  armed on the kernel bus per run like the profiler's step sink;
+* :mod:`repro.obs.metrics` — labelled counters; the registry is a
+  sweep instrument with the profiler's lifecycle (installed on the
+  kernel context, armed on its bus per run, twinned into pool chunks
+  and merged back);
 * :mod:`repro.obs.events` — the append-only JSONL event ledger every
   fleet worker shares (``repro events tail`` / ``query``);
 * :mod:`repro.obs.telemetry` — the one observer object orchestration
   code calls through (duck-typed; orchestration never imports this
-  package);
+  package at run time);
 * :mod:`repro.obs.fleet` — the live ``repro top`` view derived from
   lease heartbeats;
 * :mod:`repro.obs.chrometrace` — Trace Event Format export for
@@ -35,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
         EVENT_UNIT_RELEASED, EVENT_UNIT_RENEWED, EventLedger,
         LEDGER_NAME, format_event, read_events, tail_events,
     )
-    from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+    from .metrics import Counter, MetricsRegistry
     from .fleet import FleetRow, fleet_rows, render_top
     from .telemetry import SweepTelemetry
 
@@ -49,7 +51,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "EVENT_UNIT_RELEASED", "EVENT_UNIT_RENEWED", "EventLedger",
         "LEDGER_NAME", "format_event", "read_events", "tail_events",
     ),
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".metrics": ("Counter", "MetricsRegistry"),
     ".fleet": ("FleetRow", "fleet_rows", "render_top"),
     ".telemetry": ("SweepTelemetry",),
 })

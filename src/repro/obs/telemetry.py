@@ -11,10 +11,11 @@ to the event ledger (:mod:`repro.obs.events`) and the metrics registry
 ``on_result`` callback.)
 
 The dependency points *into* this package only: orchestration code
-imports :mod:`repro.obs` in one place, behind a test — a pool worker
-whose chunk was asked to count builds the chunk-local registry there —
-so an unobserved sweep — ``observer is None`` everywhere — pays one
-pointer test per hook site and constructs nothing.
+never imports :mod:`repro.obs` at run time.  The sweep installs the
+registry as an instrument on the kernel context and a pool worker
+counts into the pickled twin the parent shipped, so an unobserved
+sweep — ``observer is None`` everywhere — pays one pointer test per
+hook site and constructs nothing.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ class SweepTelemetry:
     Args:
         ledger: Event sink; ``None`` records no history.
         metrics: Registry; ``None`` counts nothing.  When present, the
-            sweep installs it on the kernel context so the
-            ``net.send`` / ``net.deliver`` / ``sim.step`` sinks re-arm
-            per run (see :meth:`MetricsRegistry.arm
+            sweep installs it as an instrument on the kernel context so
+            the ``net.send`` / ``net.deliver`` / ``sim.step`` sinks
+            re-arm per run (see :meth:`MetricsRegistry.arm
             <repro.obs.metrics.MetricsRegistry.arm>`).
 
     Sweep-level metric names: ``sweep.scenarios`` (labelled

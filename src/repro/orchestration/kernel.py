@@ -15,7 +15,10 @@ allocation on the hottest orchestration path.
 * **adversary cache** — ``name -> AdversarySpec``; specs are read-only
   descriptions, shared freely;
 * a **shared instrumentation bus** created once and re-armed per run,
-  so sweeps do not churn probe/bus objects per scenario.
+  so sweeps do not churn probe/bus objects per scenario;
+* the **active instruments** — the sinks one sweep (or one pool chunk)
+  observes through: installed by :meth:`KernelContext.instrumented`,
+  armed on the bus per run by :meth:`KernelContext.fresh_bus`.
 
 Per-run state (simulator, network, processes, protocol stacks) is still
 built fresh for every scenario — determinism demands it — but the
@@ -28,16 +31,17 @@ sweep and pool worker) uses implicitly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..instrumentation import InstrumentationBus
+from ..instrumentation import phase as phase_scope
 from ..sim.pool import ObjectPools
 from .axes import adversary_from_name, topology_from_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..adversary.strategies import AdversarySpec
     from ..net.topology import Topology
-    from ..profiling import SweepProfiler
 
 __all__ = ["KernelContext", "default_context"]
 
@@ -59,19 +63,16 @@ class KernelContext:
         self.pools = ObjectPools()
         #: Scenarios executed through this context (introspection).
         self.runs = 0
-        #: Active :class:`~repro.profiling.SweepProfiler`, or ``None``.
-        #: Set by the sweep for the duration of one profiled
-        #: sweep; :meth:`fresh_bus` re-arms its ``sim.step`` sink after
-        #: each per-run ``bus.clear()``.  The unprofiled fast path pays
-        #: one ``is None`` test per run.
-        self.profiler: "SweepProfiler | None" = None
-        #: Active :class:`~repro.obs.metrics.MetricsRegistry`, or
-        #: ``None``.  Same lifecycle as :attr:`profiler`: the sweep
-        #: installs it for one observed sweep, and
-        #: :meth:`fresh_bus` re-arms its kernel counting sinks per run.
-        #: Unobserved runs pay one ``is None`` test here and keep every
-        #: probe's ``emit`` at ``None``.
-        self.metrics: Any | None = None
+        #: The active instruments, in install order: sinks on :attr:`bus`
+        #: sharing one interface — ``arm(bus)`` once per run,
+        #: ``export()`` / ``merge_remote(data)`` across a process
+        #: boundary, ``twin()`` for an empty copy with the same
+        #: configuration (:class:`~repro.profiling.SweepProfiler`,
+        #: :class:`~repro.obs.metrics.MetricsRegistry`).  Set only by
+        #: :meth:`instrumented`; an unobserved run loops over an empty
+        #: tuple in :meth:`fresh_bus` and every probe keeps ``emit`` at
+        #: ``None``.
+        self.instruments: tuple[Any, ...] = ()
         #: Warm-cache accounting: how often a lookup was served from the
         #: context instead of rebuilt.  The worker pool round-trips
         #: these (:meth:`stats`) to prove worker reuse across sweeps and
@@ -123,22 +124,44 @@ class KernelContext:
             **self.pools.counters(),
         }
 
+    @contextmanager
+    def instrumented(self, instruments: Iterable[Any]) -> Iterator[None]:
+        """Scope installing ``instruments`` for its body (one sweep, one
+        pool chunk); the previous set is back on exit, also when the body
+        raises."""
+        previous, self.instruments = self.instruments, tuple(instruments)
+        try:
+            yield
+        finally:
+            self.instruments = previous
+
+    def phase(self, name: str) -> Any:
+        """A ``with``-scope timing harness stage ``name`` on the first
+        installed instrument that times phases (the sweep's profiler), or
+        one shared no-op scope when none does."""
+        for instrument in self.instruments:
+            if hasattr(instrument, "phase"):
+                return instrument.phase(name)
+        return phase_scope(None, name)
+
     def fresh_bus(self) -> InstrumentationBus:
         """The shared bus, re-armed (every sink detached) for a new run."""
         self.bus.clear()
         self.runs += 1
-        if self.profiler is not None:
-            self.profiler.arm(self.bus)
-        if self.metrics is not None:
-            self.metrics.arm(self.bus)
+        for instrument in self.instruments:
+            instrument.arm(self.bus)
         return self.bus
 
     def clear(self) -> None:
-        """Drop every cached object (tests; registry mutations)."""
+        """Drop every cached object and installed instrument and zero the
+        counters (tests; registry mutations; a forked pool worker, which
+        must account for its own work only)."""
         self._topologies.clear()
         self._adversaries.clear()
         self.bus.clear()
         self.pools.clear()
+        self.instruments = ()
+        self.runs = 0
         self.topology_hits = self.topology_misses = 0
         self.adversary_hits = self.adversary_misses = 0
 

@@ -50,7 +50,6 @@ from ..instrumentation import (
     PHASE_EXPAND,
     PHASE_REPORT,
     PHASE_SIMULATE,
-    phase,
 )
 from ..sim.random import derive_seed
 from . import axes as axes_mod
@@ -68,7 +67,6 @@ from .kernel import KernelContext, default_context
 from .sweeps import proposal_profile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..profiling import SweepProfiler
     from ..store.cache import ResultCache
     from .runner import ConsensusRunResult
 
@@ -518,11 +516,10 @@ class ScenarioMatrix:
 
 def as_specs(
     scenarios: ScenarioMatrix | Iterable[ScenarioSpec],
-    profiler: "SweepProfiler | None" = None,
 ) -> list[ScenarioSpec]:
     """The spec list a sweep, a shard slice or a resume plan works on."""
     if isinstance(scenarios, ScenarioMatrix):
-        with phase(profiler, PHASE_EXPAND):
+        with default_context().phase(PHASE_EXPAND):
             return scenarios.expand()
     # Strictly increasing indices (a matrix expansion, or a shard_slice
     # of one) are kept: result ordering (which sorts on spec.index)
@@ -648,11 +645,10 @@ def run_scenario(
 
     if context is None:
         context = default_context()
-    profiler = context.profiler
     try:
-        with phase(profiler, PHASE_BUILD_CONFIG):
+        with context.phase(PHASE_BUILD_CONFIG):
             config = build_config(spec, context)
-        with phase(profiler, PHASE_SIMULATE):
+        with context.phase(PHASE_SIMULATE):
             result = run_consensus(
                 config, check_invariants=check_invariants, context=context
             )
@@ -660,7 +656,7 @@ def run_scenario(
         if check_invariants:
             raise
         return _error_outcome(spec, exc)
-    with phase(profiler, PHASE_REPORT):
+    with context.phase(PHASE_REPORT):
         return summarize_run(spec, result)
 
 
@@ -668,7 +664,6 @@ def execute(
     specs: Iterable[ScenarioSpec],
     check_invariants: bool = False,
     cache: "ResultCache | None" = None,
-    profiler: "SweepProfiler | None" = None,
 ) -> Iterator[ScenarioOutcome]:
     """The one per-scenario step: run, store a clean outcome, hand it on.
 
@@ -679,10 +674,11 @@ def execute(
     of the cell.  Timeouts are cached — they are deterministic in the
     spec's budgets, which are part of the key.
     """
+    context = default_context()
     for spec in specs:
-        outcome = run_scenario(spec, check_invariants=check_invariants)
+        outcome = run_scenario(spec, check_invariants, context)
         if cache is not None and outcome.error is None:
-            with phase(profiler, PHASE_CACHE_PUT):
+            with context.phase(PHASE_CACHE_PUT):
                 cache.put(outcome)
         yield outcome
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -59,7 +60,6 @@ from ..instrumentation import (
     PHASE_JSONL,
     PHASE_POOL,
     PHASE_REPORT,
-    phase,
 )
 from ..store.resume import plan_resume
 from .kernel import default_context
@@ -108,48 +108,6 @@ _MAX_CHUNK = 256
 INLINE_THRESHOLD = 2 * _PROBE_CHUNK
 
 
-class _ProfiledSweep:
-    """Scope that activates sweep observers on the process-local context.
-
-    While active, :func:`~repro.orchestration.matrix.run_scenario` times
-    its build/simulate/report stages and
-    :meth:`~repro.orchestration.kernel.KernelContext.fresh_bus` arms the
-    ``sim.step`` sink per run.  An ``observer`` carrying a metrics
-    registry (:class:`~repro.obs.telemetry.SweepTelemetry`) likewise has
-    its kernel counting sinks re-armed per run.  With neither a profiler
-    nor a registry the scope is a no-op, so the sweep wraps its body
-    unconditionally.
-    """
-
-    __slots__ = ("_profiler", "_metrics", "_context")
-
-    def __init__(
-        self, profiler: "SweepProfiler | None", metrics: Any | None
-    ) -> None:
-        self._profiler = profiler
-        self._metrics = metrics
-        self._context = None
-
-    def __enter__(self) -> "SweepProfiler | None":
-        if self._profiler is not None or self._metrics is not None:
-            self._context = default_context()
-            if self._profiler is not None:
-                self._profiler.start()
-                self._context.profiler = self._profiler
-            if self._metrics is not None:
-                self._context.metrics = self._metrics
-        return self._profiler
-
-    def __exit__(self, *exc: Any) -> None:
-        if self._context is not None:
-            if self._profiler is not None:
-                self._context.profiler = None
-                self._profiler.stop()
-            if self._metrics is not None:
-                self._context.metrics = None
-            self._context = None
-
-
 @dataclass
 class SweepResult:
     """Outcomes plus aggregates for one executed scenario matrix."""
@@ -193,12 +151,11 @@ class SweepResult:
         workers: int = 1,
         elapsed: float = 0.0,
         cache_hits: int = 0,
-        profiler: "SweepProfiler | None" = None,
         pool_startup: float = 0.0,
         encoded: dict[int, str] | None = None,
     ) -> "SweepResult":
         """Aggregate a finished outcome list into a result."""
-        with phase(profiler, PHASE_REPORT):
+        with default_context().phase(PHASE_REPORT):
             ordered = sorted(outcomes, key=lambda o: o.spec.index)
             report = aggregate_outcomes(ordered)
         return cls(
@@ -297,7 +254,6 @@ def _split_cached(
     specs: list[ScenarioSpec],
     cache: "ResultCache | None",
     check_invariants: bool,
-    profiler: "SweepProfiler | None" = None,
 ) -> tuple[list[ScenarioOutcome], list[ScenarioSpec]]:
     """Partition specs into (cached outcomes, specs still to run).
 
@@ -308,7 +264,7 @@ def _split_cached(
     """
     if cache is None or check_invariants:
         return [], specs
-    with phase(profiler, PHASE_CACHE_KEY):
+    with default_context().phase(PHASE_CACHE_KEY):
         plan = plan_resume(specs, cache)
     return plan.cached, plan.missing
 
@@ -371,22 +327,22 @@ def sweep_parallel(
             concurrent workers are safe).  ``check_invariants`` sweeps
             bypass cache *reads* so violations always raise.
         profiler: Optional :class:`~repro.profiling.SweepProfiler`,
-            active for the duration of this sweep.  The phases of this
-            process are timed directly and the per-run ``sim.step`` sink
-            attributes simulator wall time per event label; each worker
-            chunk runs under a chunk-local profiler whose export is
-            merged back, so the same tables populate at any worker
-            count.  Summed worker time can exceed measured wall time
+            installed as an instrument for the duration of this sweep
+            (see ``observer``) with its wall window open.  The phases of
+            this process are timed directly and the per-run
+            ``sim.step`` sink attributes simulator wall time per event
+            label.  Summed worker time can exceed measured wall time
             (that is parallelism, not an accounting bug).
         observer: Optional :class:`~repro.obs.telemetry.SweepTelemetry`;
             sees every outcome as it lands — ``cache_hit`` for
-            store-served cells, ``executed`` for fresh ones — and its
-            metrics registry, if any, is armed on the kernel bus per
-            run; each worker chunk counts into a chunk-local registry
-            whose export is merged back, as the profiler's is, so the
-            ``kernel.*`` totals are the same at any worker count.  An
-            unobserved sweep runs the exact same code with
-            ``observer is None``.
+            store-served cells, ``executed`` for fresh ones.  Its
+            metrics registry, if any, is the sweep's second instrument.
+            The instruments are installed on the kernel context, armed
+            on its bus per run, and each worker chunk runs under their
+            empty twins (same configuration) whose exports are merged
+            back in order — so the same tables and ``kernel.*`` totals
+            come out at any worker count.  An unobserved sweep runs the
+            exact same code with no instrument installed.
         pool: An explicit :class:`~repro.orchestration.pool.WorkerPool`
             to run on (kept alive for the caller); ``None`` uses the
             process-global shared pool, spawning it on first use.
@@ -400,12 +356,15 @@ def sweep_parallel(
     if workers is None:
         workers = default_workers()
     started = time.perf_counter()
-    metrics = getattr(observer, "metrics", None)
-    with _ProfiledSweep(profiler, metrics):
-        specs = as_specs(scenarios, profiler)
-        outcomes, missing = _split_cached(
-            specs, cache, check_invariants, profiler
-        )
+    instruments = [
+        instrument
+        for instrument in (profiler, getattr(observer, "metrics", None))
+        if instrument is not None
+    ]
+    window = nullcontext() if profiler is None else profiler.measuring()
+    with window, default_context().instrumented(instruments):
+        specs = as_specs(scenarios)
+        outcomes, missing = _split_cached(specs, cache, check_invariants)
         cache_hits = len(outcomes)
         for outcome in outcomes:
             if observer is not None:
@@ -416,7 +375,7 @@ def sweep_parallel(
         encoded: dict[int, str] = {}
         if workers <= 1 or len(missing) < INLINE_THRESHOLD:
             workers = max(1, workers)
-            fresh = execute(missing, check_invariants, cache, profiler)
+            fresh = execute(missing, check_invariants, cache)
         else:
             from .pool import SpecTransport
 
@@ -430,7 +389,7 @@ def sweep_parallel(
             workers = pool.size
             fresh = _pooled(
                 pool, owned, transport, missing, chunksize,
-                check_invariants, cache, profiler, metrics, encoded,
+                check_invariants, cache, encoded,
             )
         try:
             for outcome in fresh:
@@ -449,7 +408,6 @@ def sweep_parallel(
             workers=workers,
             elapsed=time.perf_counter() - started,
             cache_hits=cache_hits,
-            profiler=profiler,
             pool_startup=pool_startup,
             encoded=encoded,
         )
@@ -487,16 +445,16 @@ def _pooled(
     chunksize: int | None,
     check_invariants: bool,
     cache: "ResultCache | None",
-    profiler: "SweepProfiler | None",
-    metrics: Any | None,
     encoded: dict[int, str],
 ) -> Iterator[ScenarioOutcome]:
     """The pooled dispatch loop: fresh outcomes in completion order.
 
     A generator, so the sweep body consumes pooled and in-process
     outcomes the same way.  The workers' pre-encoded record lines land
-    in ``encoded`` (keyed by ``spec.index``).  Closing the generator
-    early aborts the chunks still in flight.
+    in ``encoded`` (keyed by ``spec.index``).  Every chunk runs under
+    twins of the installed instruments; their exports come back one per
+    instrument, in order, and merge into the originals.  Closing the
+    generator early aborts the chunks still in flight.
     """
     adaptive = chunksize is None
     # Seconds-per-scenario EMA; None until the first chunk reports back.
@@ -511,15 +469,16 @@ def _pooled(
             1, min(_MAX_CHUNK, int(TARGET_CHUNK_SECONDS / cost_ema))
         )
 
-    options: dict[str, Any] = {"check_invariants": check_invariants}
+    context = default_context()
+    instruments = context.instruments
+    options: dict[str, Any] = {
+        "check_invariants": check_invariants,
+        "instruments": [instrument.twin() for instrument in instruments],
+    }
     if cache is not None:
         options["cache"] = (
             str(cache.root), cache.salt, cache.max_entries, cache.max_age
         )
-    if profiler is not None:
-        options["profile"] = True
-    if metrics is not None:
-        options["metrics"] = True
     position = 0
     inflight: dict[int, list[ScenarioSpec]] = {}
     pool.active = True
@@ -538,8 +497,8 @@ def _pooled(
                 inflight[job_id] = chunk
             for job_id, payload in pool.wait_any():
                 chunk_specs = inflight.pop(job_id)
-                lines, spent, export = payload
-                with phase(profiler, PHASE_POOL):
+                lines, spent, exports = payload
+                with context.phase(PHASE_POOL):
                     chunk_outcomes = [
                         outcome_from_record(json.loads(line), spec=spec)
                         for line, spec in zip(lines, chunk_specs)
@@ -552,10 +511,8 @@ def _pooled(
                         per_spec if cost_ema is None
                         else 0.5 * cost_ema + 0.5 * per_spec
                     )
-                if export is not None:
-                    for instrument in (profiler, metrics):
-                        if instrument is not None:
-                            instrument.merge_remote(export)
+                for instrument, export in zip(instruments, exports):
+                    instrument.merge_remote(export)
                 yield from chunk_outcomes
     except BaseException:
         pool.abort(inflight)

@@ -42,13 +42,19 @@ blocked sending a large result batch is always drained by the parent's
 ``connection.wait`` loop.
 
 Observability rides along: chunk replies carry worker wall time (feeds
-the parent's adaptive chunk sizing) and one optional export dict: what a
-chunk-local :class:`~repro.profiling.SweepProfiler` and/or
-:class:`~repro.obs.metrics.MetricsRegistry` accumulated, folded into the
-parent's by their ``merge_remote`` — so ``repro profile`` attributes
-build/simulate/report time, and an observed sweep's ``kernel.*`` counters
-add up, at any worker count.  :meth:`WorkerPool.stats` round-trips
-each worker's :meth:`KernelContext.stats
+the parent's adaptive chunk sizing) and one export per instrument.  The
+parent ships each chunk the empty twins of its installed instruments
+(:attr:`KernelContext.instruments
+<repro.orchestration.kernel.KernelContext.instruments>` — a
+:class:`~repro.profiling.SweepProfiler` keeps its ``sim_steps`` and
+``alloc`` configuration); the worker runs the chunk with the twins
+installed and replies with their exports in the same order, which the
+parent folds into the originals by ``merge_remote`` — so ``repro
+profile`` attributes build/simulate/report time and allocations, and an
+observed sweep's ``kernel.*`` counters add up, at any worker count.
+The pool itself imports neither :mod:`repro.profiling` nor
+:mod:`repro.obs`: the twins arrive pickled.  :meth:`WorkerPool.stats`
+round-trips each worker's :meth:`KernelContext.stats
 <repro.orchestration.kernel.KernelContext.stats>` — the warm-hit
 counters that prove reuse across ``run_claims`` units.
 
@@ -69,7 +75,7 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..instrumentation import PHASE_JSONL, phase
+from ..instrumentation import PHASE_JSONL
 from ..store.cache import ResultCache
 from ..store.shards import encode_record
 from .axes import AXES
@@ -183,13 +189,10 @@ def _worker_main(conn: "Connection", worker_index: int) -> None:
 
     context = default_context()
     # A forked child inherits whatever the parent's context held —
-    # active observers, warm caches, run counters.  Reset to a clean
-    # slate: worker-side instruments are opt-in per chunk, and the stats()
+    # installed instruments, warm caches, run counters.  Start clean:
+    # worker-side instruments arrive per chunk, and the stats()
     # round-trip must account for *this worker's* work only.
     context.clear()
-    context.runs = 0
-    context.profiler = None
-    context.metrics = None
     universes: "OrderedDict[str, Any]" = OrderedDict()
     caches: dict[tuple[Any, ...], "ResultCache"] = {}
 
@@ -272,46 +275,29 @@ def _run_pooled_chunk(
     options: dict[str, Any],
     context: Any,
     open_cache: Any,
-) -> tuple[list[str], float, dict[str, Any] | None]:
-    """Execute one chunk; returns (encoded lines, wall seconds, export).
+) -> tuple[list[str], float, list[Any]]:
+    """Execute one chunk; returns (encoded lines, wall seconds, exports).
 
     The encoded lines are byte-identical to
     :func:`repro.store.shards.write_shard` output for the same outcomes,
     which is what lets the parent persist them without re-encoding.
-    ``export`` is one dict holding what each chunk-local instrument the
-    sweep asked for accumulated (``SweepProfiler.export`` and
-    ``MetricsRegistry.export`` use disjoint keys; the parent's
-    ``merge_remote`` of each reads its own), ``None`` when it asked for
-    neither.
+    The chunk runs with the parent's instrument twins
+    (``options["instruments"]``) installed; ``exports`` holds one
+    ``export()`` per twin, in order.
     """
     cache_spec = options.get("cache")
     cache = None if cache_spec is None else open_cache(cache_spec)
-    profiler = metrics = None
-    if options.get("profile"):
-        from ..profiling import SweepProfiler
-
-        profiler = SweepProfiler()
-    if options.get("metrics"):
-        from ..obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-    context.profiler, context.metrics = profiler, metrics
+    twins = options.get("instruments", ())
     started = time.perf_counter()
-    try:
+    with context.instrumented(twins):
         outcomes = list(execute(
             [specs[position] for position in positions],
-            options.get("check_invariants", False), cache, profiler,
+            options.get("check_invariants", False), cache,
         ))
         wall = time.perf_counter() - started
-        with phase(profiler, PHASE_JSONL):
+        with context.phase(PHASE_JSONL):
             lines = [encode_record(outcome) for outcome in outcomes]
-        export: dict[str, Any] = {}
-        for instrument in (profiler, metrics):
-            if instrument is not None:
-                export.update(instrument.export())
-        return lines, wall, export or None
-    finally:
-        context.profiler = context.metrics = None
+    return lines, wall, [twin.export() for twin in twins]
 
 
 # ---------------------------------------------------------------------------

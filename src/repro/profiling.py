@@ -32,13 +32,16 @@ Two instruments, one :class:`SweepProfiler`:
   keep paying exactly one ``emit is None`` test.
 
 Profiling is opt-in per sweep: the sweep
-(:mod:`repro.orchestration.parallel`) installs the profiler on the
-process-local :class:`~repro.orchestration.kernel.KernelContext` for
-the duration of one sweep, and
-:meth:`~repro.orchestration.kernel.KernelContext.fresh_bus` re-arms the
-step sink before each run.  An unprofiled sweep executes the exact same
-code with :func:`repro.instrumentation.phase` handing out one shared
-no-op scope — zero sinks, zero timers.
+(:mod:`repro.orchestration.parallel`) installs the profiler as one of
+the instruments of the process-local
+:class:`~repro.orchestration.kernel.KernelContext` for the duration of
+one sweep, :meth:`~repro.orchestration.kernel.KernelContext.fresh_bus`
+re-arms the step sink before each run, and a pooled sweep runs each
+worker chunk under the profiler's :meth:`SweepProfiler.twin` — same
+``sim_steps`` / ``alloc`` configuration — whose export is merged back.
+An unprofiled sweep executes the exact same code with
+:meth:`~repro.orchestration.kernel.KernelContext.phase` handing out one
+shared no-op scope — zero sinks, zero timers.
 
 CLI faces: ``repro sweep --profile`` (breakdown table after any sweep)
 and ``repro profile`` (dedicated command; ``--out profile.json`` also
@@ -372,15 +375,19 @@ class SweepProfiler:
 
     # -- cross-process merge ---------------------------------------------
 
+    def twin(self) -> "SweepProfiler":
+        """An empty profiler with this one's clock, ``sim_steps`` and
+        ``alloc`` configuration (what a pool worker chunk runs under)."""
+        return SweepProfiler(self._clock, self.sim_steps, self.alloc)
+
     def export(self) -> dict[str, Any]:
         """Picklable snapshot of the accumulated accounting.
 
-        A pooled sweep runs a short-lived profiler inside each
-        worker chunk and ships this export back with the results;
-        :meth:`merge_remote` folds it into the parent's profiler, so the
-        phase table and per-tag breakdown cover worker-side work too.
-        Wall-window state is deliberately excluded — the measured window
-        is the parent's.
+        A pooled sweep runs a :meth:`twin` inside each worker chunk and
+        ships this export back with the results; :meth:`merge_remote`
+        folds it into the parent's profiler, so the phase table and
+        per-tag breakdown cover worker-side work too.  Wall-window state
+        is deliberately excluded — the measured window is the parent's.
         """
         self._flush_pending()
         return {
@@ -398,17 +405,15 @@ class SweepProfiler:
 
     def merge_remote(self, data: dict[str, Any]) -> None:
         """Fold a worker's :meth:`export` into this profiler."""
-        for name, entry in data.get("phases", {}).items():
-            blocks = entry[2] if len(entry) > 2 else 0
-            self.add(name, entry[0], entry[1], blocks)
-        for name, entry in data.get("sim_labels", {}).items():
+        for name, entry in data["phases"].items():
+            self.add(name, *entry)
+        for name, entry in data["sim_labels"].items():
             stat = self.sim_labels.get(name)
             if stat is None:
                 stat = self.sim_labels[name] = PhaseStat()
-            blocks = entry[2] if len(entry) > 2 else 0
-            stat.add(entry[0], entry[1], blocks)
-        self.sim_events += int(data.get("sim_events", 0))
-        self.runs += int(data.get("runs", 0))
+            stat.add(*entry)
+        self.sim_events += data["sim_events"]
+        self.runs += data["runs"]
 
     # -- reporting -------------------------------------------------------
 

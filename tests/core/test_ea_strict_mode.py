@@ -1,4 +1,4 @@
-"""The Figure 3 liveness counterexample (DESIGN.md deviation 1).
+"""The Figure 3 liveness counterexample (docs/claims.md, Deviations 1).
 
 Read literally, Figure 3 arms the round timer only at line 5, *after* the
 early return of line 4.  A correct process that returns at line 4 then

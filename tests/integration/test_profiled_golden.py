@@ -30,16 +30,10 @@ from tests.store.test_compat import LEGACY_RECORD, legacy_matrix
 @pytest.fixture
 def armed_profiler():
     """A profiler installed on the process-local kernel context, exactly
-    as the sweep backends install it."""
-    context = default_context()
+    as the sweep installs it."""
     profiler = SweepProfiler()
-    profiler.start()
-    context.profiler = profiler
-    try:
+    with profiler.measuring(), default_context().instrumented([profiler]):
         yield profiler
-    finally:
-        context.profiler = None
-        profiler.stop()
 
 
 class TestProfiledGoldenRuns:

@@ -1,4 +1,5 @@
-"""The metrics registry: families, label series, kernel-bus arming."""
+"""The metrics registry: counter families, label series, kernel-bus
+arming, and the twin / export / merge round-trip a pool chunk makes."""
 
 import json
 
@@ -10,13 +11,7 @@ from repro.instrumentation import (
     SIM_STEP,
     InstrumentationBus,
 )
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class TestCounter:
@@ -41,54 +36,35 @@ class TestCounter:
             c.inc(-1)
 
 
-class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("depth")
-        g.set(5)
-        g.inc(2)
-        g.dec()
-        assert g.value() == 6
-
-
-class TestHistogram:
-    def test_observations_land_in_buckets(self):
-        h = Histogram("latency", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.7, 5.0):
-            h.observe(value)
-        assert h.count() == 4
-        assert h.sum() == pytest.approx(6.25)
-        [series] = h.to_dict()["series"]
-        # Cumulative Prometheus-style buckets: <=0.1, <=1.0, +Inf.
-        assert [b["count"] for b in series["buckets"]] == [1, 3, 4]
-        assert series["buckets"][-1]["le"] == "+Inf"
-
-    def test_needs_at_least_one_bucket(self):
-        with pytest.raises(ValueError, match=">= 1 bucket"):
-            Histogram("x", buckets=())
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-
-
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert len(reg) == 1
 
-    def test_type_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(ValueError, match="is a counter, not a gauge"):
-            reg.gauge("a")
-
     def test_snapshot_is_json_and_sorted(self):
         reg = MetricsRegistry()
-        reg.gauge("z").set(1)
+        reg.counter("z", help="last").inc(2)
         reg.counter("a").inc(tag="X")
         snap = reg.snapshot()
         assert list(snap) == ["a", "z"]
+        assert snap["z"] == {
+            "type": "counter", "help": "last",
+            "series": [{"labels": {}, "value": 2.0}],
+        }
+        assert snap["a"]["series"] == [{"labels": {"tag": "X"}, "value": 1.0}]
         json.dumps(snap)  # must be JSON-serialisable as-is
+
+    def test_twin_export_merge_round_trip(self):
+        reg = MetricsRegistry()
+        reg.counter("a").inc(tag="X")
+        twin = reg.twin()
+        assert len(twin) == 0
+        twin.counter("a").inc(2, tag="X")
+        twin.counter("b").inc()
+        reg.merge_remote(twin.export())
+        assert reg.counter("a").value(tag="X") == 3
+        assert reg.counter("b").total() == 1
 
 
 class _Msg:

@@ -317,21 +317,26 @@ class TestAdaptiveChunking:
         )
 
     def test_worker_chunks_report_wall_time(self):
+        from repro.obs.metrics import MetricsRegistry
         from repro.orchestration.kernel import default_context
         from repro.orchestration.pool import _run_pooled_chunk
 
         specs, context = small_matrix().expand(), default_context()
-        lines, elapsed, export = _run_pooled_chunk(
+        lines, elapsed, exports = _run_pooled_chunk(
             specs, [0, 1], {}, context, None
         )
         assert len(lines) == 2
-        # An unobserved chunk constructs no instrument and ships no export.
-        assert elapsed > 0 and export is None
+        # An unobserved chunk installs no instrument and ships no export.
+        assert elapsed > 0 and exports == []
+        twin = MetricsRegistry().twin()
         observed = _run_pooled_chunk(
-            specs, [0, 1], {"metrics": True}, context, None
+            specs, [0, 1], {"instruments": [twin]}, context, None
         )
-        assert observed[0] == lines and context.metrics is None
-        assert observed[2]["counters"]["kernel.runs"] == [((), 2.0)]
+        # The twin was installed for the chunk only, and its one export
+        # is the chunk's counts.
+        assert observed[0] == lines and context.instruments == ()
+        assert observed[2] == [twin.export()]
+        assert observed[2][0]["kernel.runs"] == [((), 2.0)]
 
     def test_explicit_chunksize_still_fixed(self):
         matrix = small_matrix()

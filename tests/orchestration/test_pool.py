@@ -32,7 +32,7 @@ from repro.orchestration.pool import (
     get_pool,
     shutdown_pool,
 )
-from repro.profiling import PHASE_SIMULATE, SweepProfiler
+from repro.profiling import PHASE_BUILD_CONFIG, PHASE_SIMULATE, SweepProfiler
 from repro.store.cache import ResultCache
 from repro.store.shards import encode_record
 
@@ -59,6 +59,25 @@ def counted(telemetry) -> dict:
     snapshot = telemetry.metrics.snapshot()
     snapshot.pop("sweep.pool", None)
     return snapshot
+
+
+def profile_counts(profiler) -> dict:
+    """What a profiled sweep counted — no timings, no allocations."""
+    # Every label: the report books each run's final event first, which
+    # may add one.
+    snapshot = profiler.to_dict(top_labels=len(profiler.sim_labels) + 1)
+    return {
+        "events": snapshot["sim"]["events"],
+        "runs": snapshot["sim"]["runs"],
+        "labels": {
+            name: entry["events"]
+            for name, entry in snapshot["sim"]["labels"].items()
+        },
+        "calls": {
+            name: snapshot["phases"][name]["calls"]
+            for name in (PHASE_BUILD_CONFIG, PHASE_SIMULATE)
+        },
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -116,9 +135,9 @@ class TestWorkerPoolDirect:
             job = pool.submit_chunk(
                 0, transport, [0, 1], {"check_invariants": False}
             )
-            [(done_id, (lines, wall, profile))] = pool.wait_any()
+            [(done_id, (lines, wall, exports))] = pool.wait_any()
             assert done_id == job
-            assert wall > 0 and profile is None
+            assert wall > 0 and exports == []
             assert [json.loads(line)["seed"] for line in lines] == [
                 specs[0].seed, specs[1].seed,
             ]
@@ -221,6 +240,11 @@ class TestPooledEquivalence:
             snapshot = profiler.to_dict()
             assert snapshot["phases"][PHASE_SIMULATE]["seconds"] > 0
             assert snapshot["sim"]["runs"] == 16
+            # Counted in the workers, every count equals the in-process
+            # one: events, runs, per-label events and per-phase calls.
+            in_process = SweepProfiler()
+            sweep_serial(matrix, profiler=in_process)
+            assert profile_counts(profiler) == profile_counts(in_process)
         if with_observer:
             assert observer.scenarios == 16
             # The ledger's numbers too: counted in the workers, every
@@ -322,6 +346,28 @@ class TestPooledEquivalence:
             assert runs == 32
         finally:
             pool.shutdown()
+
+
+class TestPooledInstrumentConfiguration:
+    """A worker chunk runs under twins of the parent's instruments, so
+    the profiler's configuration holds on the worker side too."""
+
+    def test_alloc_mode_books_worker_side_blocks(self):
+        profiler = SweepProfiler(alloc=True)
+        sweep_parallel(pooled_matrix(), workers=2, profiler=profiler)
+        assert profiler.phases[PHASE_SIMULATE].blocks != 0
+        assert any(
+            stat.blocks != 0
+            for name, stat in profiler.sim_labels.items()
+            if name.startswith("tag:")
+        )
+
+    def test_sim_steps_off_arms_no_worker_step_sink(self):
+        profiler = SweepProfiler(sim_steps=False)
+        sweep_parallel(pooled_matrix(), workers=2, profiler=profiler)
+        assert profiler.phases[PHASE_SIMULATE].calls == 16
+        assert profiler.sim_events == 0 and profiler.runs == 0
+        assert profiler.sim_labels == {}
 
 
 class TestRunClaimsReuse:

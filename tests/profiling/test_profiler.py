@@ -187,7 +187,7 @@ class TestStepSink:
 class TestZeroCostWhenDisabled:
     def test_unprofiled_sweep_attaches_no_step_sink(self):
         context = default_context()
-        assert context.profiler is None
+        assert context.instruments == ()
         sweep_serial(small_matrix())
         # After the sweep the context bus must be back to the zero-cost
         # idle state: the step probe compiled its emit path to None.
@@ -197,7 +197,7 @@ class TestZeroCostWhenDisabled:
         context = default_context()
         profiler = SweepProfiler()
         sweep_serial(small_matrix(), profiler=profiler)
-        assert context.profiler is None
+        assert context.instruments == ()
         assert profiler.sim_events > 0
         assert profiler.runs == 2
 
@@ -206,7 +206,7 @@ class TestZeroCostWhenDisabled:
         profiler = SweepProfiler()
         with pytest.raises(TypeError):
             sweep_serial(object(), profiler=profiler)  # not iterable
-        assert context.profiler is None
+        assert context.instruments == ()
 
 
 class TestProfiledSweep:

@@ -9,8 +9,9 @@ not load the execution stack; ``check`` must not load the store or the
 fleet; a cold sweep must not load the checker, telemetry or dispatch.
 
 The static half walks the AST of ``src/repro``: no import may go through
-a package ``__init__`` for a name a submodule defines, and no CLI module
-may import the heavy layers at module level.
+a package ``__init__`` for a name a submodule defines, no CLI module
+may import the heavy layers at module level, and ``orchestration`` never
+imports ``repro.obs`` or ``repro.profiling`` at run time.
 """
 
 import ast
@@ -268,6 +269,47 @@ def test_cli_modules_defer_the_heavy_layers():
                     )
     assert not offenders, "\n".join(offenders)
     assert not (SRC / "cli.py").exists()
+
+
+def _runtime_imports(tree):
+    """Every import node of ``tree`` outside ``if TYPE_CHECKING:`` blocks,
+    at any depth (function-local imports included)."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(child.test):
+                stack.extend(child.orelse)
+            else:
+                stack.append(child)
+
+
+INSTRUMENT_PACKAGES = ("repro.obs", "repro.profiling")
+
+
+def test_orchestration_never_imports_the_instruments():
+    """The sweep, the pool and the kernel context reach the profiler and
+    the metrics registry only through the instruments they are handed
+    (``KernelContext.instruments``; pool chunks get pickled twins)."""
+    offenders = []
+    for path, module, is_package in _sources():
+        if not module.startswith("repro.orchestration"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _runtime_imports(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                target = _absolute(node, module, is_package)
+                names = [target] + [f"{target}.{a.name}" for a in node.names]
+            if any(
+                name == p or name.startswith(p + ".")
+                for name in names for p in INSTRUMENT_PACKAGES
+            ):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not offenders, "\n".join(offenders)
 
 
 def test_the_lazy_helper_stays_small():
