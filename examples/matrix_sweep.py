@@ -28,10 +28,12 @@ print(f"grid: {len(matrix.cells())} cells, {len(matrix)} scenarios")
 clamped = {spec.num_values for spec in matrix}
 print(f"value diversity after feasibility clamping: {sorted(clamped)}")
 
-# Run the whole matrix on 2 workers, streaming progress as cells finish.
+# Run the whole matrix on 2 workers, streaming progress as cells finish
+# (``cached`` says whether a result store served the outcome; no store
+# here, so it is always False).
 done = []
 sweep = sweep_parallel(
-    matrix, workers=2, on_result=lambda outcome: done.append(outcome)
+    matrix, workers=2, on_result=lambda outcome, cached: done.append(outcome)
 )
 assert len(done) == len(matrix)
 

@@ -98,7 +98,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .core.consensus_variant import BotConsensus
     from .core.consensus import Consensus
     from .core.eventual_agreement import EventualAgreement
-    from .core.ea_parameterized import ParameterizedEventualAgreement
     from .errors import (
         ConfigurationError, DeadlineExceeded, FeasibilityError,
         InvariantViolation, ProtocolViolation, ReproError,
@@ -140,7 +139,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ".core.consensus_variant": ("BotConsensus",),
     ".core.consensus": ("Consensus",),
     ".core.eventual_agreement": ("EventualAgreement",),
-    ".core.ea_parameterized": ("ParameterizedEventualAgreement",),
     ".errors": (
         "ConfigurationError", "DeadlineExceeded", "FeasibilityError",
         "InvariantViolation", "ProtocolViolation", "ReproError",

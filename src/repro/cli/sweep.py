@@ -89,19 +89,6 @@ def run(args: argparse.Namespace) -> int:
         print(f"shard        : {index}/{count} -> {len(work)} of "
               f"{total} scenarios")
         total = len(work)
-    progress = None
-    if args.progress:
-        state = {"done": 0}
-
-        def progress(outcome: Any) -> None:
-            state["done"] += 1
-            status = "ok" if outcome.decided else (
-                "timeout" if outcome.timed_out else "failed"
-            )
-            print(f"[{state['done']}/{total}] "
-                  f"{outcome.spec.cell_id} seed={outcome.spec.seed_index} "
-                  f"{status}")
-
     cache = None
     if args.resume and not args.cache:
         raise SystemExit("--resume requires --cache DIR")
@@ -122,9 +109,28 @@ def run(args: argparse.Namespace) -> int:
     if args.events:
         telemetry = open_telemetry(args.events, process_run_id("sweep"))
         telemetry.sweep_started(total=total)
+    done = 0
+
+    def on_result(outcome: Any, cached: bool) -> None:
+        # --events and --progress share the sweep's one outcome hook.
+        nonlocal done
+        if telemetry is not None:
+            telemetry.on_result(outcome, cached)
+        if args.progress:
+            done += 1
+            status = "ok" if outcome.decided else (
+                "timeout" if outcome.timed_out else "failed"
+            )
+            print(f"[{done}/{total}] "
+                  f"{outcome.spec.cell_id} seed={outcome.spec.seed_index} "
+                  f"{status}")
+
     sweep = run_sweep(
-        args.backend, work, args.workers, on_result=progress, cache=cache,
-        profiler=profiler, observer=telemetry,
+        args.backend, work, args.workers, cache=cache, profiler=profiler,
+        on_result=(
+            on_result if args.progress or telemetry is not None else None
+        ),
+        metrics=None if telemetry is None else telemetry.metrics,
     )
     if telemetry is not None:
         telemetry.sweep_finished(sweep)

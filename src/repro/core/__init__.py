@@ -12,7 +12,6 @@ if TYPE_CHECKING:  # pragma: no cover
         alpha, beta, combination_unrank, coordinator, f_set,
         f_set_index, worst_case_round_bound,
     )
-    from .ea_parameterized import ParameterizedEventualAgreement
     from .eventual_agreement import EventualAgreement, default_timeout
     from .values import BOT, Bot, Selector, first_added, smallest
 
@@ -24,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "alpha", "beta", "combination_unrank", "coordinator", "f_set",
         "f_set_index", "worst_case_round_bound",
     ),
-    ".ea_parameterized": ("ParameterizedEventualAgreement",),
     ".eventual_agreement": ("EventualAgreement", "default_timeout"),
     ".values": ("BOT", "Bot", "Selector", "first_added", "smallest"),
 })

@@ -4,8 +4,8 @@ The observability layer over the simulation platform, built on the same
 contract as the instrumentation bus it rides: **nothing costs anything
 until somebody asks**.  An unobserved run constructs no registry and no
 ledger, every kernel probe keeps ``emit is None``, and the
-sweep's ``observer`` stays ``None`` — telemetry is opt-in per sweep,
-never ambient.
+sweep's ``on_result`` / ``metrics`` stay ``None`` — telemetry is opt-in
+per sweep, never ambient.
 
 * :mod:`repro.obs.metrics` — labelled counters; the registry is a
   sweep instrument with the profiler's lifecycle (installed on the
@@ -13,9 +13,9 @@ never ambient.
   and merged back);
 * :mod:`repro.obs.events` — the append-only JSONL event ledger every
   fleet worker shares (``repro events tail`` / ``query``);
-* :mod:`repro.obs.telemetry` — the one observer object orchestration
-  code calls through (duck-typed; orchestration never imports this
-  package at run time);
+* :mod:`repro.obs.telemetry` — ledger + registry behind the sweep's
+  one outcome hook, ``on_result(outcome, cached)`` (orchestration never
+  imports this package at run time);
 * :mod:`repro.obs.fleet` — the live ``repro top`` view derived from
   lease heartbeats;
 * :mod:`repro.obs.chrometrace` — Trace Event Format export for

@@ -1,21 +1,27 @@
-"""The observer object that threads fleet telemetry through a sweep.
+"""Fleet telemetry for a sweep: one ledger, one registry, one outcome hook.
 
-The sweep (:func:`repro.orchestration.parallel.sweep_parallel`) and the
-dispatch worker loop (:func:`repro.orchestration.dispatch.run_claims`)
-know nothing about ledgers or metric registries — they accept one
-optional *observer* and call a handful of duck-typed hooks on it.
-:class:`SweepTelemetry` is the concrete observer: it fans each hook out
-to the event ledger (:mod:`repro.obs.events`) and the metrics registry
-(:mod:`repro.obs.metrics`), each of which is independently optional.
-(Dispatch heartbeats do not come through here: they ride the sweep's
-``on_result`` callback.)
+The sweep (:func:`repro.orchestration.parallel.sweep_parallel`) knows
+nothing about ledgers: it reports every outcome through its one
+``on_result(outcome, cached)`` callback and takes the registry as its
+``metrics`` instrument.  :class:`SweepTelemetry` supplies both —
+:meth:`SweepTelemetry.on_result` is the callback — and fans each call
+out to the event ledger (:mod:`repro.obs.events`) and the metrics
+registry (:mod:`repro.obs.metrics`), each of which is independently
+optional.  Everything the sweep does not report per outcome is read
+from the :class:`~repro.orchestration.parallel.SweepResult` it returns:
+a pooled sweep's ``pool_started`` record is written when the sweep is
+recorded as finished (:meth:`SweepTelemetry.sweep_finished`,
+:meth:`SweepTelemetry.unit_completed`), just ahead of it.  The dispatch
+worker loop (:func:`repro.orchestration.dispatch.run_claims`) records
+the unit lifecycle here and folds this callback and the lease heartbeat
+into the one callback it hands the sweep.
 
 The dependency points *into* this package only: orchestration code
 never imports :mod:`repro.obs` at run time.  The sweep installs the
 registry as an instrument on the kernel context and a pool worker
 counts into the pickled twin the parent shipped, so an unobserved
-sweep — ``observer is None`` everywhere — pays one pointer test per
-hook site and constructs nothing.
+sweep — no callback, no registry — pays one pointer test per outcome
+and constructs nothing.
 """
 
 from __future__ import annotations
@@ -45,18 +51,20 @@ __all__ = ["SweepTelemetry"]
 
 
 class SweepTelemetry:
-    """Ledger + metrics behind one observer face.
+    """Ledger + metrics behind one outcome hook.
 
     Args:
         ledger: Event sink; ``None`` records no history.
-        metrics: Registry; ``None`` counts nothing.  When present, the
-            sweep installs it as an instrument on the kernel context so
-            the ``net.send`` / ``net.deliver`` / ``sim.step`` sinks
-            re-arm per run (see :meth:`MetricsRegistry.arm
+        metrics: Registry; ``None`` counts nothing.  Pass it to the
+            sweep as ``metrics=`` so it is installed as an instrument on
+            the kernel context and the ``net.send`` / ``net.deliver`` /
+            ``sim.step`` sinks re-arm per run (see
+            :meth:`MetricsRegistry.arm
             <repro.obs.metrics.MetricsRegistry.arm>`).
 
     Sweep-level metric names: ``sweep.scenarios`` (labelled
-    ``source=cache|executed``) and ``sweep.units`` (labelled by final
+    ``source=cache|executed``), ``sweep.pool`` (pooled sweeps, labelled
+    ``state=spawned|reused``) and ``sweep.units`` (labelled by final
     state).
     """
 
@@ -74,38 +82,30 @@ class SweepTelemetry:
         #: Outcomes served from the result store.
         self.cache_hits = 0
 
-    # -- per-scenario hooks (called by the sweep) -------------------------
-
-    def cache_hit(self, outcome: "ScenarioOutcome") -> None:
-        """One scenario served from the result store."""
+    def on_result(self, outcome: "ScenarioOutcome", cached: bool) -> None:
+        """The sweep's per-outcome hook: one scenario served from the
+        result store (``cached``) or actually run (a store miss, or no
+        store at all)."""
         self.scenarios += 1
-        self.cache_hits += 1
+        self.cache_hits += cached
         if self.metrics is not None:
-            self.metrics.counter("sweep.scenarios").inc(source="cache")
-        if self.ledger is not None:
-            self.ledger.emit(
-                EVENT_CACHE_HIT,
-                cell=outcome.spec.cell_id,
-                seed=outcome.spec.seed_index,
+            self.metrics.counter("sweep.scenarios").inc(
+                source="cache" if cached else "executed"
             )
-
-    def executed(self, outcome: "ScenarioOutcome") -> None:
-        """One scenario actually run (a store miss, or no store at all)."""
-        self.scenarios += 1
-        if self.metrics is not None:
-            self.metrics.counter("sweep.scenarios").inc(source="executed")
         if self.ledger is not None:
-            self.ledger.emit(
-                EVENT_CACHE_MISS,
-                cell=outcome.spec.cell_id,
-                seed=outcome.spec.seed_index,
-                decided=outcome.decided,
-            )
+            spec = outcome.spec
+            if cached:
+                self.ledger.emit(
+                    EVENT_CACHE_HIT, cell=spec.cell_id, seed=spec.seed_index,
+                )
+            else:
+                self.ledger.emit(
+                    EVENT_CACHE_MISS, cell=spec.cell_id,
+                    seed=spec.seed_index, decided=outcome.decided,
+                )
 
-    def pool_started(
-        self, workers: int, startup_seconds: float, reused: bool
-    ) -> None:
-        """A pooled sweep acquired its worker pool.
+    def _pool_started(self, result: "SweepResult") -> None:
+        """Record the worker pool a finished sweep ran on, if it ran on one.
 
         ``reused`` distinguishes a warm shared pool (startup already
         amortised by an earlier sweep) from a cold spawn whose cost this
@@ -113,6 +113,9 @@ class SweepTelemetry:
         so a fleet run shows exactly one ``state=spawned`` increment per
         worker generation.
         """
+        if result.workers <= 1:
+            return
+        reused = result.pool_startup_seconds == 0.0
         if self.metrics is not None:
             self.metrics.counter("sweep.pool").inc(
                 state="reused" if reused else "spawned"
@@ -120,18 +123,19 @@ class SweepTelemetry:
         if self.ledger is not None:
             self.ledger.emit(
                 EVENT_POOL_STARTED,
-                workers=workers,
-                startup_seconds=round(startup_seconds, 6),
+                workers=result.workers,
+                startup_seconds=round(result.pool_startup_seconds, 6),
                 reused=reused,
             )
 
-    # -- sweep lifecycle (called by the CLI / worker loop) ---------------
+    # -- sweep lifecycle (called by the CLI) -----------------------------
 
     def sweep_started(self, total: int, **fields: Any) -> None:
         if self.ledger is not None:
             self.ledger.emit(EVENT_SWEEP_STARTED, total=total, **fields)
 
     def sweep_finished(self, result: "SweepResult", **fields: Any) -> None:
+        self._pool_started(result)
         if self.ledger is not None:
             payload: dict[str, Any] = dict(
                 scenarios=len(result.outcomes),
@@ -163,11 +167,14 @@ class SweepTelemetry:
                 total=unit.scenarios, renewed=renewed,
             )
 
-    def unit_completed(self, unit: "ShardUnit", records: int) -> None:
+    def unit_completed(self, unit: "ShardUnit", result: "SweepResult") -> None:
+        self._pool_started(result)
         if self.metrics is not None:
             self.metrics.counter("sweep.units").inc(state="done")
         if self.ledger is not None:
-            payload: dict[str, Any] = dict(unit=unit.name, records=records)
+            payload: dict[str, Any] = dict(
+                unit=unit.name, records=len(result.outcomes)
+            )
             if self.metrics is not None:
                 payload["metrics"] = self.metrics.snapshot()
             self.ledger.emit(EVENT_UNIT_COMPLETED, **payload)

@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     )
     from .sweeps import (
         PROPOSAL_PROFILES, proposal_profile, standard_proposals,
-        sweep_seeds,
     )
     from ..analysis.tables import format_table
 
@@ -71,7 +70,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     ".sweeps": (
         "PROPOSAL_PROFILES", "proposal_profile", "standard_proposals",
-        "sweep_seeds",
     ),
     "..analysis.tables": ("format_table",),
 })

@@ -57,8 +57,10 @@ from ..store.atomic import atomic_write_text
 from .matrix import ScenarioMatrix, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.telemetry import SweepTelemetry
     from ..store.cache import ResultCache
-    from .parallel import SweepResult
+    from .matrix import ScenarioOutcome
+    from .parallel import OnResult, SweepResult
 
 __all__ = [
     "DispatchError",
@@ -644,7 +646,7 @@ def run_claims(
     max_units: int | None = None,
     on_unit: Callable[[ShardUnit, "SweepResult"], None] | None = None,
     heartbeat_interval: float | None = None,
-    telemetry: Any | None = None,
+    telemetry: "SweepTelemetry | None" = None,
 ) -> list[ShardUnit]:
     """Claim-execute-complete until the queue has nothing for us.
 
@@ -661,15 +663,16 @@ def run_claims(
     when due, writes progress into the lease record via
     :meth:`DispatchPlan.heartbeat` — which also *renews* the lease, so a
     unit slower than its lease survives as long as its worker keeps
-    finishing scenarios.  The heartbeat rides the sweep's ordinary
+    finishing scenarios.  The heartbeat rides the sweep's one
     ``on_result`` callback, so it reports identically at any worker
     count.
 
-    ``telemetry`` is an optional observer
-    (:class:`~repro.obs.telemetry.SweepTelemetry`): unit lifecycle and
-    per-scenario cache events land in its ledger/metrics, and it is
-    passed to the sweep as its ``observer``.  ``None`` — the default —
-    keeps the loop exactly as cheap as before.
+    ``telemetry`` is an optional
+    :class:`~repro.obs.telemetry.SweepTelemetry`: unit lifecycle and
+    per-scenario cache events land in its ledger/metrics.  Its
+    ``on_result`` shares the unit's one callback with the heartbeat,
+    and its registry is the sweep's ``metrics`` instrument.  ``None``
+    — the default — keeps the loop exactly as cheap as before.
 
     Returns the units this worker completed, in execution order.
     """
@@ -703,8 +706,9 @@ def run_claims(
         try:
             result = sweep_parallel(
                 plan.specs_for(unit), workers=workers, cache=cache,
-                observer=telemetry, transport=transport,
-                on_result=_heartbeat_on_result(
+                transport=transport,
+                metrics=None if telemetry is None else telemetry.metrics,
+                on_result=_unit_on_result(
                     plan, unit, worker, heartbeat_interval, telemetry
                 ),
             )
@@ -720,45 +724,47 @@ def run_claims(
             raise
         plan.complete(unit.name, worker, records=len(result.outcomes))
         if telemetry is not None:
-            telemetry.unit_completed(unit, records=len(result.outcomes))
+            telemetry.unit_completed(unit, result)
         executed.append(unit)
         if on_unit is not None:
             on_unit(unit, result)
     return executed
 
 
-def _heartbeat_on_result(
+def _unit_on_result(
     plan: DispatchPlan,
     unit: ShardUnit,
     worker: str,
     interval: float,
-    telemetry: Any | None,
-) -> Callable[[Any], None] | None:
-    """The per-scenario callback that paces one unit's heartbeats.
+    telemetry: "SweepTelemetry | None",
+) -> "OnResult | None":
+    """The one per-outcome callback of a unit's sweep: it feeds the
+    telemetry, then paces the unit's heartbeats.
 
     Clock checks use the monotonic clock (wall-clock steps must not
     suppress or burst-fire renewals); the manifest stamps stay wall
     clock, as every lease field does.  With a zero/negative interval
-    and no telemetry there is nothing to do — return ``None`` so the
-    sweep skips the callback entirely.
+    there is no heartbeat, so the callback is the telemetry's own (or
+    ``None``, and the sweep skips it entirely).
     """
-    if interval <= 0 and telemetry is None:
-        return None
-    state = {"done": 0, "last": time.monotonic()}
+    if interval <= 0:
+        return None if telemetry is None else telemetry.on_result
+    done = 0
+    last = time.monotonic()
 
-    def on_result(outcome: Any) -> None:
-        state["done"] += 1
-        if interval <= 0:
-            return
+    def on_result(outcome: "ScenarioOutcome", cached: bool) -> None:
+        nonlocal done, last
+        if telemetry is not None:
+            telemetry.on_result(outcome, cached)
+        done += 1
         now = time.monotonic()
-        if now - state["last"] < interval:
+        if now - last < interval:
             return
-        state["last"] = now
+        last = now
         renewed = plan.heartbeat(
-            unit.name, worker,
-            done=state["done"], total=unit.scenarios,
+            unit.name, worker, done=done, total=unit.scenarios,
         )
         if telemetry is not None:
-            telemetry.unit_renewed(unit, state["done"], renewed)
+            telemetry.unit_renewed(unit, done, renewed)
 
     return on_result

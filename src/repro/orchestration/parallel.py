@@ -73,6 +73,7 @@ from .matrix import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import MetricsRegistry
     from ..profiling import SweepProfiler
     from ..store.cache import ResultCache
     from .pool import SpecTransport, WorkerPool
@@ -87,8 +88,10 @@ __all__ = [
     "TARGET_CHUNK_SECONDS",
 ]
 
-#: Progress callback: invoked once per finished scenario, main process.
-OnResult = Callable[[ScenarioOutcome], None]
+#: The per-outcome hook, ``on_result(outcome, cached)``: invoked once per
+#: scenario in the main process, ``cached`` true when the result store
+#: served it.
+OnResult = Callable[[ScenarioOutcome, bool], None]
 
 #: Adaptive dispatch aims each chunk at about this much worker wall time
 #: — long enough to amortise pickling, short enough that progress
@@ -275,14 +278,14 @@ def sweep_serial(
     check_invariants: bool = False,
     cache: "ResultCache | None" = None,
     profiler: "SweepProfiler | None" = None,
-    observer: Any | None = None,
+    metrics: "MetricsRegistry | None" = None,
 ) -> SweepResult:
     """:func:`sweep_parallel` at ``workers=1``: every scenario runs in
     this process, in matrix order."""
     return sweep_parallel(
         scenarios, workers=1, on_result=on_result,
         check_invariants=check_invariants, cache=cache, profiler=profiler,
-        observer=observer,
+        metrics=metrics,
     )
 
 
@@ -294,7 +297,7 @@ def sweep_parallel(
     check_invariants: bool = False,
     cache: "ResultCache | None" = None,
     profiler: "SweepProfiler | None" = None,
-    observer: Any | None = None,
+    metrics: "MetricsRegistry | None" = None,
     pool: "WorkerPool | None" = None,
     transport: "SpecTransport | None" = None,
 ) -> SweepResult:
@@ -305,17 +308,21 @@ def sweep_parallel(
         workers: Process count; ``None`` uses :func:`default_workers`.
             ``workers <= 1``, or fewer than :data:`INLINE_THRESHOLD`
             scenarios left to execute, runs them in this process, in
-            matrix order — same results, no pool round-trips.
+            matrix order — same results, no pool round-trips, and
+            ``SweepResult.workers == 1``.
         chunksize: Specs per dispatch unit.  ``None`` (default) sizes
             chunks adaptively from the observed per-scenario wall time,
             targeting ~:data:`TARGET_CHUNK_SECONDS` of work per chunk;
             an explicit value restores fixed-size dispatch.  Either way
             the returned outcomes are in matrix order.
-        on_result: Called in this process for every finished scenario —
-            cache hits first, in matrix order, then fresh outcomes in
-            completion order (pooled chunks complete out of order;
-            outcomes in the returned result are nevertheless in matrix
-            order).
+        on_result: ``on_result(outcome, cached)``, called in this
+            process once per scenario — cache hits first, in matrix
+            order, with ``cached=True``, then fresh outcomes in
+            completion order with ``cached=False`` (pooled chunks
+            complete out of order; outcomes in the returned result are
+            nevertheless in matrix order).  The one per-outcome hook:
+            progress lines, telemetry and dispatch heartbeats all ride
+            it.
         check_invariants: Propagated to every run; when true a safety
             violation raises (in a worker it re-raises here with its
             original exception type, worker traceback attached),
@@ -328,21 +335,19 @@ def sweep_parallel(
             bypass cache *reads* so violations always raise.
         profiler: Optional :class:`~repro.profiling.SweepProfiler`,
             installed as an instrument for the duration of this sweep
-            (see ``observer``) with its wall window open.  The phases of
+            (see ``metrics``) with its wall window open.  The phases of
             this process are timed directly and the per-run
             ``sim.step`` sink attributes simulator wall time per event
             label.  Summed worker time can exceed measured wall time
             (that is parallelism, not an accounting bug).
-        observer: Optional :class:`~repro.obs.telemetry.SweepTelemetry`;
-            sees every outcome as it lands — ``cache_hit`` for
-            store-served cells, ``executed`` for fresh ones.  Its
-            metrics registry, if any, is the sweep's second instrument.
-            The instruments are installed on the kernel context, armed
-            on its bus per run, and each worker chunk runs under their
-            empty twins (same configuration) whose exports are merged
-            back in order — so the same tables and ``kernel.*`` totals
-            come out at any worker count.  An unobserved sweep runs the
-            exact same code with no instrument installed.
+        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`,
+            the sweep's second instrument.  The instruments are
+            installed on the kernel context, armed on its bus per run,
+            and each worker chunk runs under their empty twins (same
+            configuration) whose exports are merged back in order — so
+            the same tables and ``kernel.*`` totals come out at any
+            worker count.  An unobserved sweep runs the exact same code
+            with no instrument installed.
         pool: An explicit :class:`~repro.orchestration.pool.WorkerPool`
             to run on (kept alive for the caller); ``None`` uses the
             process-global shared pool, spawning it on first use.
@@ -357,8 +362,7 @@ def sweep_parallel(
         workers = default_workers()
     started = time.perf_counter()
     instruments = [
-        instrument
-        for instrument in (profiler, getattr(observer, "metrics", None))
+        instrument for instrument in (profiler, metrics)
         if instrument is not None
     ]
     window = nullcontext() if profiler is None else profiler.measuring()
@@ -366,15 +370,15 @@ def sweep_parallel(
         specs = as_specs(scenarios)
         outcomes, missing = _split_cached(specs, cache, check_invariants)
         cache_hits = len(outcomes)
-        for outcome in outcomes:
-            if observer is not None:
-                observer.cache_hit(outcome)
-            if on_result is not None:
-                on_result(outcome)
+        if on_result is not None:
+            for outcome in outcomes:
+                on_result(outcome, True)
         pool_startup = 0.0
         encoded: dict[int, str] = {}
         if workers <= 1 or len(missing) < INLINE_THRESHOLD:
-            workers = max(1, workers)
+            # Nothing goes to the pool: the result says so, whatever
+            # count was asked for.
+            workers = 1
             fresh = execute(missing, check_invariants, cache)
         else:
             from .pool import SpecTransport
@@ -385,7 +389,7 @@ def sweep_parallel(
                     if isinstance(scenarios, ScenarioMatrix)
                     else SpecTransport.from_specs(specs)
                 )
-            pool, pool_startup, owned = _acquire_pool(pool, workers, observer)
+            pool, pool_startup, owned = _acquire_pool(pool, workers)
             workers = pool.size
             fresh = _pooled(
                 pool, owned, transport, missing, chunksize,
@@ -394,10 +398,8 @@ def sweep_parallel(
         try:
             for outcome in fresh:
                 outcomes.append(outcome)
-                if observer is not None:
-                    observer.executed(outcome)
                 if on_result is not None:
-                    on_result(outcome)
+                    on_result(outcome, False)
         finally:
             # A raising callback must not leave the dispatch loop
             # suspended mid-sweep: closing it aborts what is in flight
@@ -414,7 +416,7 @@ def sweep_parallel(
 
 
 def _acquire_pool(
-    pool: "WorkerPool | None", workers: int, observer: Any | None
+    pool: "WorkerPool | None", workers: int
 ) -> tuple["WorkerPool", float, bool]:
     """The pool to dispatch on, the spawn seconds this sweep paid for it
     and whether the sweep owns it (and must shut it down)."""
@@ -428,12 +430,6 @@ def _acquire_pool(
         owned = not pool.shared
     if pool.closed:
         raise PoolWorkerError("worker pool is shut down")
-    notify = getattr(observer, "pool_started", None)
-    if notify is not None:
-        notify(
-            workers=pool.size, startup_seconds=startup,
-            reused=startup == 0.0,
-        )
     return pool, startup, owned
 
 

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis.feasibility import max_values
 from ..analysis.tables import format_table  # noqa: F401  (re-exported)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import RunConfig
-    from .runner import ConsensusRunResult
 
 __all__ = [
     "PROPOSAL_PROFILES",
@@ -19,7 +15,6 @@ __all__ = [
     "unanimous_proposals",
     "proposal_profile",
     "normalize_profile",
-    "sweep_seeds",
     "format_table",
 ]
 
@@ -96,32 +91,6 @@ def proposal_profile(
 ) -> Callable[[Iterable[int], Sequence[Any]], dict[int, Any]]:
     """Look up a registered proposal profile by name."""
     return PROPOSAL_PROFILES[normalize_profile(name)]
-
-
-def sweep_seeds(
-    make_config: Callable[[int], RunConfig],
-    seeds: Iterable[int],
-    check_invariants: bool = True,
-    on_result: Callable[[ConsensusRunResult], None] | None = None,
-) -> list[ConsensusRunResult]:
-    """Run one configuration across many seeds; returns all results.
-
-    ``on_result`` is invoked once per finished run, in seed order — the
-    same streaming contract as the matrix engine's
-    :func:`~repro.orchestration.parallel.sweep_serial` /
-    :func:`~repro.orchestration.parallel.sweep_parallel`, so callers can
-    share one progress/aggregation path across all three
-    (:func:`repro.analysis.reporting.aggregate` consumes the results).
-    """
-    from .runner import run_consensus
-
-    results: list[ConsensusRunResult] = []
-    for seed in seeds:
-        result = run_consensus(make_config(seed), check_invariants=check_invariants)
-        results.append(result)
-        if on_result is not None:
-            on_result(result)
-    return results
 
 
 def feasible_value_count(n: int, t: int, requested: int) -> int:

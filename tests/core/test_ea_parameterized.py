@@ -1,37 +1,20 @@
-"""Unit tests for the Section 5.4 parameterized EA object."""
-
-import pytest
+"""Section 5.4: eventual agreement with the tuning parameter k > 0."""
 
 from repro import RunConfig, run_consensus
 from repro.adversary import crash
-from repro.core.ea_parameterized import ParameterizedEventualAgreement
-from repro.errors import ConfigurationError
+from repro.core.eventual_agreement import EventualAgreement
 from repro.net import single_bisource
 from tests.helpers import build_system
 
 
 class TestConstruction:
-    def test_requires_k_at_least_one(self):
-        system = build_system(7, 2)
-        with pytest.raises(ConfigurationError):
-            ParameterizedEventualAgreement(
-                system.processes[1], system.rbs[1], 7, 2, m=2, k=0
-            )
-
     def test_witness_set_size(self):
         system = build_system(7, 2)
-        ea = ParameterizedEventualAgreement(
+        ea = EventualAgreement(
             system.processes[1], system.rbs[1], 7, 2, m=2, k=1
         )
         assert ea.f_size == 6  # n - t + k
         assert ea.witness_threshold == 2  # k + 1
-
-    def test_required_bisource_width(self):
-        system = build_system(7, 2)
-        ea = ParameterizedEventualAgreement(
-            system.processes[1], system.rbs[1], 7, 2, m=2, k=2
-        )
-        assert ea.required_bisource_width() == 5  # t + 1 + k
 
 
 class TestEndToEnd:

@@ -1,4 +1,4 @@
-"""SweepTelemetry: the observer face, and the zero-cost guarantee."""
+"""SweepTelemetry: the sweep's outcome hook, and the zero-cost guarantee."""
 
 import pytest
 
@@ -26,6 +26,11 @@ def matrix():
     return ScenarioMatrix(sizes=[(4, 1)], seeds=range(2), base_seed=7)
 
 
+def observed_by(telemetry):
+    """The sweep kwargs that feed ``telemetry``."""
+    return {"on_result": telemetry.on_result, "metrics": telemetry.metrics}
+
+
 def make_telemetry(tmp_path, **kwargs):
     ledger = EventLedger(
         tmp_path / "events.jsonl", run_id="r1", worker="w0"
@@ -39,7 +44,7 @@ class TestObservedSweep:
     def test_sweep_records_events_and_metrics(self, tmp_path, matrix):
         telemetry = make_telemetry(tmp_path)
         telemetry.sweep_started(total=len(matrix.expand()))
-        result = sweep_serial(matrix, observer=telemetry)
+        result = sweep_serial(matrix, **observed_by(telemetry))
         telemetry.sweep_finished(result)
         telemetry.ledger.close()
 
@@ -60,7 +65,7 @@ class TestObservedSweep:
         cache = ResultCache(tmp_path / "store")
         sweep_serial(matrix, cache=cache)  # warm the store
         telemetry = make_telemetry(tmp_path)
-        sweep_serial(matrix, cache=cache, observer=telemetry)
+        sweep_serial(matrix, cache=cache, **observed_by(telemetry))
         telemetry.ledger.close()
 
         assert telemetry.cache_hits == 2
@@ -76,7 +81,7 @@ class TestObservedSweep:
         # A bare telemetry object still counts scenarios and crashes on
         # nothing — every sink is independently optional.
         telemetry = SweepTelemetry()
-        sweep_serial(matrix, observer=telemetry)
+        sweep_serial(matrix, **observed_by(telemetry))
         assert telemetry.scenarios == 2
 
 
@@ -86,7 +91,7 @@ class TestZeroCost:
     ):
         plain = sweep_serial(matrix)
         observed = sweep_serial(
-            matrix, observer=make_telemetry(tmp_path)
+            matrix, **observed_by(make_telemetry(tmp_path))
         )
         a = write_shard(plain.outcomes, tmp_path / "plain.jsonl")
         b = write_shard(observed.outcomes, tmp_path / "observed.jsonl")
@@ -97,7 +102,7 @@ class TestZeroCost:
         # registry observing after a plain sweep sees only its own runs.
         sweep_serial(matrix)
         registry = MetricsRegistry()
-        sweep_serial(matrix, observer=SweepTelemetry(metrics=registry))
+        sweep_serial(matrix, **observed_by(SweepTelemetry(metrics=registry)))
         assert registry.armed_runs == 2
 
 

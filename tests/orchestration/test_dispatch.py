@@ -227,37 +227,30 @@ class TestRunClaims:
     def test_tiny_heartbeat_interval_renews_while_executing(
         self, tmp_path, matrix
     ):
+        from repro.obs.events import EVENT_UNIT_RENEWED, EventLedger, read_events
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.telemetry import SweepTelemetry
+
         plan = plan_dispatch(matrix, tmp_path / "d", units=2)
-        renewals = []
-
-        class Recorder:
-            """Duck-typed telemetry: only the renewal hook records."""
-
-            def unit_claimed(self, unit):
-                pass
-
-            def unit_renewed(self, unit, done, renewed):
-                renewals.append((done, renewed))
-
-            def unit_completed(self, unit, records):
-                pass
-
-            def unit_released(self, unit, error):
-                pass
-
-            def executed(self, outcome):
-                pass
-
-            def cache_hit(self, outcome):
-                pass
-
-        run_claims(
-            plan, worker="w1", heartbeat_interval=1e-9,
-            telemetry=Recorder(),
+        telemetry = SweepTelemetry(
+            ledger=EventLedger(tmp_path / "events.jsonl"),
+            metrics=MetricsRegistry(),
         )
-        assert renewals  # every scenario check found the interval due
-        assert all(renewed for _, renewed in renewals)
-        assert max(done for done, _ in renewals) >= 1
+        run_claims(
+            plan, worker="w1", heartbeat_interval=1e-9, telemetry=telemetry,
+        )
+        telemetry.ledger.close()
+        renewals = list(
+            read_events(tmp_path / "events.jsonl", types=[EVENT_UNIT_RENEWED])
+        )
+        # Every scenario's check found the interval due: one renewal per
+        # scenario, each counted and each renewing the lease.
+        assert len(renewals) == plan.total_scenarios
+        assert telemetry.metrics.counter("dispatch.heartbeats").total() \
+            == len(renewals)
+        assert all(event["renewed"] for event in renewals)
+        assert max(event["done"] for event in renewals) >= 1
+        assert telemetry.scenarios == plan.total_scenarios
         assert DispatchPlan.load(tmp_path / "d").finished
 
 

@@ -11,7 +11,7 @@ from repro.orchestration.parallel import (
     sweep_parallel,
     sweep_serial,
 )
-from repro.orchestration.sweeps import sweep_seeds
+from repro.orchestration.runner import run_consensus
 
 
 def small_matrix(seeds=range(2)) -> ScenarioMatrix:
@@ -46,8 +46,10 @@ class TestSweepSerial:
 
     def test_on_result_streams_in_order(self):
         seen = []
-        sweep = sweep_serial(small_matrix(), on_result=seen.append)
-        assert seen == sweep.outcomes
+        sweep = sweep_serial(
+            small_matrix(), on_result=lambda o, cached: seen.append((o, cached))
+        )
+        assert seen == [(outcome, False) for outcome in sweep.outcomes]
 
     def test_accepts_spec_list(self):
         specs = small_matrix().expand()[:3]
@@ -87,9 +89,11 @@ class TestSweepParallel:
     def test_on_result_sees_every_scenario(self):
         seen = []
         sweep = sweep_parallel(
-            small_matrix(), workers=2, chunksize=2, on_result=seen.append
+            small_matrix(), workers=2, chunksize=2,
+            on_result=lambda o, cached: seen.append((o, cached)),
         )
-        assert sorted(o.spec.index for o in seen) == list(range(8))
+        assert sorted(o.spec.index for o, _ in seen) == list(range(8))
+        assert not any(cached for _, cached in seen)
         assert len(sweep.outcomes) == 8
 
     def test_single_worker_degrades_to_serial(self):
@@ -98,6 +102,23 @@ class TestSweepParallel:
         assert sweep.workers == 1
         assert_equivalent(sweep, sweep_serial(matrix))
 
+    def test_a_sweep_that_never_reaches_the_pool_reports_one_worker(
+        self, tmp_path
+    ):
+        # Below INLINE_THRESHOLD, or with everything served from the
+        # cache, nothing goes to the pool whatever count was requested.
+        from repro.store.cache import ResultCache
+
+        few = sweep_parallel(
+            ScenarioMatrix(sizes=[(4, 1)], seeds=range(3)), workers=4
+        )
+        assert len(few.outcomes) == 3 and few.workers == 1
+        cache = ResultCache(tmp_path / "cache")
+        sweep_serial(small_matrix(), cache=cache)
+        warm = sweep_parallel(small_matrix(), workers=4, cache=cache)
+        assert warm.cache_hits == 8 and warm.workers == 1
+        assert warm.pool_startup_seconds == 0.0
+
 
 class TestOneSweepBody:
     """``sweep_serial`` is ``sweep_parallel(workers=1)``, whatever rides
@@ -105,13 +126,15 @@ class TestOneSweepBody:
 
     @pytest.mark.parametrize("with_cache", [False, True])
     @pytest.mark.parametrize("with_profiler", [False, True])
-    @pytest.mark.parametrize("with_observer", [False, True])
+    @pytest.mark.parametrize("with_telemetry", [False, True])
     def test_serial_is_one_worker(
-        self, tmp_path, with_cache, with_profiler, with_observer
+        self, tmp_path, with_cache, with_profiler, with_telemetry
     ):
         from repro.obs.telemetry import SweepTelemetry
         from repro.profiling import SweepProfiler
         from repro.store.cache import ResultCache
+
+        telemetry = {}
 
         def kwargs(name):
             kw = {}
@@ -119,8 +142,9 @@ class TestOneSweepBody:
                 kw["cache"] = ResultCache(tmp_path / name)
             if with_profiler:
                 kw["profiler"] = SweepProfiler()
-            if with_observer:
-                kw["observer"] = SweepTelemetry()
+            if with_telemetry:
+                telemetry[name] = SweepTelemetry()
+                kw["on_result"] = telemetry[name].on_result
             return kw
 
         matrix = small_matrix()
@@ -137,8 +161,8 @@ class TestOneSweepBody:
                     for name, stat in kw["profiler"].phases.items()
                 }
                 assert calls(a_kw) == calls(b_kw)
-            if with_observer:
-                assert a_kw["observer"].scenarios == b_kw["observer"].scenarios == 8
+            if with_telemetry:
+                assert telemetry["a"].scenarios == telemetry["b"].scenarios == 8
 
     def test_empty_spec_list(self):
         for sweep in (sweep_serial([]), sweep_parallel([], workers=2)):
@@ -173,18 +197,16 @@ class TestDefaultWorkers:
 
 class TestSweepSeedsEquivalence:
     def test_identical_decisions_and_rounds_per_seed(self):
-        # One grid cell across seeds: the legacy per-seed sweep and both
-        # matrix engines must produce identical runs.
+        # One grid cell across seeds: a plain per-seed run_consensus loop
+        # and the pooled matrix engine must produce identical runs.
         matrix = ScenarioMatrix(
             sizes=[(4, 1)], adversaries=["two_faced:evil"], seeds=range(4)
         )
         specs = matrix.expand()
-        by_seed = {spec.seed: spec for spec in specs}
-
-        def make_config(seed):
-            return build_config(by_seed[seed])
-
-        legacy = sweep_seeds(make_config, [spec.seed for spec in specs])
+        legacy = [
+            run_consensus(build_config(spec), check_invariants=True)
+            for spec in specs
+        ]
         parallel = sweep_parallel(matrix, workers=2, chunksize=1)
         assert len(legacy) == len(parallel.outcomes) == 4
         for run, outcome in zip(legacy, parallel.outcomes):

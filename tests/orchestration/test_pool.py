@@ -1,7 +1,7 @@
 """The persistent worker pool: transport, reuse, equivalence, errors.
 
 The pooled backend's contract is the serial backend's contract — byte
-for byte.  These tests pin it across every observer combination (cache
+for byte.  These tests pin it across every instrument combination (cache
 on/off x profiler on/off x telemetry attached/absent), through a
 mid-sweep resume, and across consecutive ``run_claims`` units, where
 the warm-hit counters round-tripped by :meth:`WorkerPool.stats` are the
@@ -9,10 +9,16 @@ evidence that workers actually stayed warm.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.obs.events import EVENT_POOL_STARTED, EventLedger, read_events
+from repro.obs.events import (
+    EVENT_POOL_STARTED,
+    EVENT_SWEEP_FINISHED,
+    EventLedger,
+    read_events,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import SweepTelemetry
 from repro.orchestration import pool as pool_module
@@ -53,12 +59,31 @@ def shard_bytes(result) -> list[str]:
     return [encode_record(outcome) for outcome in result.outcomes]
 
 
+def observed_by(telemetry) -> dict:
+    """The sweep kwargs that feed ``telemetry`` (none when it is None)."""
+    if telemetry is None:
+        return {}
+    return {"on_result": telemetry.on_result, "metrics": telemetry.metrics}
+
+
 def counted(telemetry) -> dict:
     """What an observed run counted, series by series, minus
     ``sweep.pool`` — the one counter only a pooled run bumps."""
     snapshot = telemetry.metrics.snapshot()
     snapshot.pop("sweep.pool", None)
     return snapshot
+
+
+def ledger_multiset(path) -> Counter:
+    """A ledger's records as a multiset, wall and monotonic stamps
+    dropped."""
+    return Counter(
+        json.dumps(
+            {k: v for k, v in record.items() if k not in ("ts", "mono")},
+            sort_keys=True,
+        )
+        for record in read_events(path)
+    )
 
 
 def profile_counts(profiler) -> dict:
@@ -218,21 +243,21 @@ class TestSharedPool:
 class TestPooledEquivalence:
     @pytest.mark.parametrize("with_cache", [False, True])
     @pytest.mark.parametrize("with_profiler", [False, True])
-    @pytest.mark.parametrize("with_observer", [False, True])
+    @pytest.mark.parametrize("with_telemetry", [False, True])
     def test_bit_identical_to_serial(
-        self, tmp_path, with_cache, with_profiler, with_observer
+        self, tmp_path, with_cache, with_profiler, with_telemetry
     ):
         matrix = pooled_matrix()
         serial = sweep_serial(matrix)
         cache = ResultCache(tmp_path / "cache") if with_cache else None
         profiler = SweepProfiler() if with_profiler else None
-        observer = (
-            SweepTelemetry(metrics=MetricsRegistry()) if with_observer
+        telemetry = (
+            SweepTelemetry(metrics=MetricsRegistry()) if with_telemetry
             else None
         )
         pooled = sweep_parallel(
             matrix, workers=2, cache=cache, profiler=profiler,
-            observer=observer,
+            **observed_by(telemetry),
         )
         assert shard_bytes(pooled) == shard_bytes(serial)
         assert pooled.report == serial.report
@@ -245,14 +270,14 @@ class TestPooledEquivalence:
             in_process = SweepProfiler()
             sweep_serial(matrix, profiler=in_process)
             assert profile_counts(profiler) == profile_counts(in_process)
-        if with_observer:
-            assert observer.scenarios == 16
+        if with_telemetry:
+            assert telemetry.scenarios == 16
             # The ledger's numbers too: counted in the workers, every
             # kernel.* series and sweep.scenarios equal the in-process ones.
             in_process = SweepTelemetry(metrics=MetricsRegistry())
-            sweep_serial(matrix, observer=in_process)
-            assert counted(observer) == counted(in_process)
-            assert observer.metrics.counter("kernel.runs").total() == 16
+            sweep_serial(matrix, **observed_by(in_process))
+            assert counted(telemetry) == counted(in_process)
+            assert telemetry.metrics.counter("kernel.runs").total() == 16
 
     def test_resume_mid_sweep_is_bit_identical(self, tmp_path):
         matrix = pooled_matrix()
@@ -303,15 +328,35 @@ class TestPooledEquivalence:
         telemetry = SweepTelemetry(
             ledger=EventLedger(ledger_path), metrics=MetricsRegistry()
         )
-        sweep_parallel(pooled_matrix(), workers=2, observer=telemetry)
-        events = list(read_events(ledger_path, types=[EVENT_POOL_STARTED]))
-        assert len(events) == 1
-        assert events[0]["workers"] == 2 and not events[0]["reused"]
+        result = sweep_parallel(
+            pooled_matrix(), workers=2, **observed_by(telemetry)
+        )
+        # Read off the result when the sweep is recorded as finished, so
+        # the finish record's snapshot already counts the pool.
+        telemetry.sweep_finished(result)
+        telemetry.ledger.close()
+        events = list(read_events(ledger_path))
+        assert [e["type"] for e in events[-2:]] == [
+            EVENT_POOL_STARTED, EVENT_SWEEP_FINISHED,
+        ]
+        started = events[-2]
+        assert started["workers"] == 2 and not started["reused"]
+        assert started["startup_seconds"] == round(
+            result.pool_startup_seconds, 6
+        ) > 0
+        pool_counter = events[-1]["metrics"]["sweep.pool"]["series"]
+        assert pool_counter == [
+            {"labels": {"state": "spawned"}, "value": 1.0}
+        ]
 
     def test_on_result_sees_every_scenario(self):
         seen = []
-        sweep_parallel(pooled_matrix(), workers=2, on_result=seen.append)
-        assert sorted(o.spec.index for o in seen) == list(range(16))
+        sweep_parallel(
+            pooled_matrix(), workers=2,
+            on_result=lambda o, cached: seen.append((o, cached)),
+        )
+        assert sorted(o.spec.index for o, _ in seen) == list(range(16))
+        assert not any(cached for _, cached in seen)
 
     def test_raising_on_result_hands_the_pool_back(self):
         # The dispatch loop is a generator the sweep body must close: a
@@ -320,7 +365,7 @@ class TestPooledEquivalence:
         matrix = pooled_matrix()
         seen = []
 
-        def on_result(outcome):
+        def on_result(outcome, cached):
             seen.append(outcome)
             if len(seen) == 3:
                 raise RuntimeError("observer gave up")
@@ -346,6 +391,54 @@ class TestPooledEquivalence:
             assert runs == 32
         finally:
             pool.shutdown()
+
+
+class TestOneOutcomeHook:
+    """Every outcome reaches the sweep's one callback, flagged ``cached``
+    exactly when the result store served it, and the telemetry that
+    callback feeds writes the in-process ledger at any worker count."""
+
+    @pytest.mark.parametrize("mode", ["serial", "pooled", "resumed"])
+    def test_cached_flags_and_ledger_match_in_process(self, tmp_path, mode):
+        matrix = pooled_matrix()
+        # "resumed": a previous run died six scenarios in; its cache
+        # survives and serves them.
+        warm = 6 if mode == "resumed" else 0
+
+        def observe(name, workers):
+            cache = ResultCache(tmp_path / name)
+            if warm:
+                sweep_serial(matrix.expand()[:warm], cache=cache)
+            telemetry = SweepTelemetry(
+                ledger=EventLedger(tmp_path / f"{name}.jsonl"),
+                metrics=MetricsRegistry(),
+            )
+            seen = []
+
+            def on_result(outcome, cached):
+                seen.append((outcome.spec.index, cached))
+                telemetry.on_result(outcome, cached)
+
+            result = sweep_parallel(
+                matrix, workers=workers, cache=cache, on_result=on_result,
+                metrics=telemetry.metrics,
+            )
+            telemetry.ledger.close()
+            return result, seen, telemetry
+
+        workers = 1 if mode == "serial" else 2
+        result, seen, telemetry = observe("swept", workers)
+        assert result.workers == workers and result.cache_hits == warm
+        # Cache hits first, in matrix order, then every fresh outcome.
+        assert seen[:warm] == [(index, True) for index in range(warm)]
+        assert sorted(seen[warm:]) == [
+            (index, False) for index in range(warm, 16)
+        ]
+        _, _, in_process = observe("in_process", 1)
+        assert ledger_multiset(tmp_path / "swept.jsonl") \
+            == ledger_multiset(tmp_path / "in_process.jsonl")
+        assert counted(telemetry) == counted(in_process)
+        assert (telemetry.scenarios, telemetry.cache_hits) == (16, warm)
 
 
 class TestPooledInstrumentConfiguration:

@@ -1,11 +1,8 @@
 """Unit tests for sweep helpers."""
 
-from repro import RunConfig
-from repro.adversary import crash
 from repro.orchestration.sweeps import (
     format_table,
     standard_proposals,
-    sweep_seeds,
 )
 
 
@@ -21,38 +18,6 @@ class TestStandardProposals:
     def test_all_values_used_when_enough_processes(self):
         proposals = standard_proposals(range(1, 6), ["x", "y"])
         assert set(proposals.values()) == {"x", "y"}
-
-
-class TestSweepSeeds:
-    @staticmethod
-    def make_config(seed):
-        return RunConfig(n=4, t=1, proposals={1: "v", 2: "v", 3: "v"},
-                         adversaries={4: crash()}, seed=seed)
-
-    def test_runs_each_seed(self):
-        results = sweep_seeds(self.make_config, [1, 2, 3])
-        assert len(results) == 3
-        assert all(r.all_decided for r in results)
-        assert [r.config.seed for r in results] == [1, 2, 3]
-
-    def test_on_result_streams_in_seed_order(self):
-        # Regression: the serial seed sweep shares the matrix engine's
-        # streaming contract (one callback per finished run, in order).
-        seen = []
-        results = sweep_seeds(self.make_config, [1, 2, 3],
-                              on_result=seen.append)
-        assert seen == results
-
-    def test_on_result_feeds_shared_aggregation(self):
-        from repro.analysis.reporting import aggregate
-
-        streamed = []
-        results = sweep_seeds(self.make_config, [1, 2, 3],
-                              on_result=streamed.append)
-        report = aggregate(streamed)
-        assert report.runs == 3 and report.decided_runs == 3
-        assert report.all_safe
-        assert aggregate(results).values == report.values
 
 
 class TestFeasibleValueCount:

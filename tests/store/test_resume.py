@@ -85,8 +85,11 @@ class TestCacheAwareSweeps:
     def test_on_result_sees_cached_outcomes_too(self, cache):
         sweep_serial(matrix(), cache=cache)
         seen = []
-        sweep_serial(matrix(), cache=cache, on_result=seen.append)
-        assert [o.spec.index for o in seen] == list(range(8))
+        sweep_serial(
+            matrix(), cache=cache,
+            on_result=lambda o, cached: seen.append((o.spec.index, cached)),
+        )
+        assert seen == [(index, True) for index in range(8)]
 
     def test_checking_sweeps_never_read_from_cache(self, cache):
         # check_invariants promises a violation *raises*; a violating

@@ -34,8 +34,7 @@ EXECUTION_STACK = (
     "repro.sim.loop", "repro.net.network", "repro.runtime",
     "repro.broadcast", "repro.baselines", "repro.adversary.behaviors",
     "repro.core.adopt_commit", "repro.core.consensus",
-    "repro.core.consensus_variant", "repro.core.ea_parameterized",
-    "repro.core.eventual_agreement",
+    "repro.core.consensus_variant", "repro.core.eventual_agreement",
     "repro.profiling", "repro.obs", "repro.checking",
     "tracemalloc", "asyncio", "multiprocessing",
 )
